@@ -1,6 +1,8 @@
 package repro.bench
 
+import java.io.{ByteArrayOutputStream, ObjectOutputStream}
 import scala.collection.mutable
+import scala.util.control.NonFatal
 import repro.core.{McosGenerator, WindowSpec}
 import repro.core.ObjSet
 import repro.query.{CnfQuery, QueryPipeline}
@@ -28,10 +30,13 @@ object BenchHarness {
 
   /** Time MCOS generation over the first `maxFrames` frames of a stream. */
   def runMcos(s: VideoStream, spec: WindowSpec, method: String,
-              maxFrames: Int = Int.MaxValue): RunStats = {
+              maxFrames: Int = Int.MaxValue): RunStats =
+    runGenerator(s, McosGenerator(method, spec), maxFrames)
+
+  /** Time a fresh generator over the first `maxFrames` frames of a stream. */
+  def runGenerator(s: VideoStream, gen: McosGenerator, maxFrames: Int = Int.MaxValue): RunStats = {
     val frames = s.frames.take(maxFrames)
     val sets = frames.map(objs => ObjSet.from(objs.map(_._1)))
-    val gen = McosGenerator(method, spec)
     var results = 0L
     val t0 = System.nanoTime()
     var fid = 0
@@ -56,6 +61,26 @@ object BenchHarness {
       fid += 1
     }
     RunStats((System.nanoTime() - t0) / 1e6, pipe.stateCount, pipe.intersections, results)
+  }
+
+  /** Java-serialized size of `obj` in bytes, written on a fresh thread with
+    * the JVM's default stack size (as a Spark task thread has); -1 if the
+    * write fails, e.g. by overflowing that stack.
+    */
+  def serializedBytes(obj: AnyRef): Long = {
+    var bytes = -1L
+    val t = new Thread(() => {
+      val bos = new ByteArrayOutputStream()
+      try {
+        val out = new ObjectOutputStream(bos)
+        out.writeObject(obj)
+        out.close()
+        bytes = bos.size
+      } catch { case NonFatal(_) | _: StackOverflowError => }
+    })
+    t.start()
+    t.join()
+    bytes
   }
 
   /** One small warm-up so JIT noise does not dominate the first cell. */

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.io.{DataInput, DataOutput}
 import scala.collection.immutable.BitSet
 
 /** Shared model for MCOS generation (paper §2–§4).
@@ -14,6 +15,17 @@ object ObjSet {
   val empty: ObjSet = BitSet.empty
   def of(ids: Int*): ObjSet = BitSet(ids: _*)
   def from(ids: Iterable[Int]): ObjSet = BitSet.fromSpecific(ids)
+
+  /** Write `s` as its bitmask: the word count, then each 64-bit word. */
+  private[core] def write(out: DataOutput, s: ObjSet): Unit = {
+    val words = s.toBitMask
+    out.writeInt(words.length)
+    words.foreach(out.writeLong)
+  }
+
+  /** Read an object set written by [[write]]. */
+  private[core] def read(in: DataInput): ObjSet =
+    BitSet.fromBitMaskNoCopy(Array.fill(in.readInt())(in.readLong()))
 }
 
 import ObjSet.ObjSet
@@ -47,19 +59,34 @@ final case class McosResult(fid: Int, objects: ObjSet, frames: Vector[Int]) {
 }
 
 /** Incremental MCOS generator: one instance per video feed; frames must be
-  * fed in strictly increasing `fid` order (gaps allowed — a missing frame is
-  * simply a frame that contributes no objects and is absent from the window
-  * relation, matching the paper's frame-id semantics).
+  * fed in strictly increasing, non-negative `fid` order (gaps allowed — a
+  * missing frame is simply a frame that contributes no objects and is absent
+  * from the window relation, matching the paper's frame-id semantics).
   *
   * Implementations are single-threaded mutable state machines, designed to be
-  * held as Spark group state (hence [[Serializable]]).
+  * held as Spark group state (hence [[Serializable]]). Each writes its states
+  * in a flat form of primitives (DESIGN.md §4).
   */
 trait McosGenerator extends Serializable {
   def spec: WindowSpec
 
+  /** The last frame processed, -1 before the first; part of the state. */
+  private var lastFid = -1
+
+  /** Enforce the input contract: `fid` must be newer than every frame so far. */
+  protected final def advanceTo(fid: Int): Unit = {
+    if (fid <= lastFid)
+      throw new IllegalArgumentException(
+        s"frame $fid arrived after frame $lastFid: fids must be non-negative and strictly increasing")
+    lastFid = fid
+  }
+
   /** Advance the window to `fid`, fold in its object set, and return the
     * Result State Set (paper §4.3.7): every valid state whose frame set has at
     * least `d` frames, i.e. the MCOSs the Query Evaluation module consumes.
+    *
+    * @throws IllegalArgumentException if `fid` is negative or not newer than
+    *         the previous frame
     */
   def processFrame(fid: Int, objects: ObjSet): Vector[McosResult]
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.io.{ObjectInputStream, ObjectOutputStream}
 import scala.collection.mutable
 import repro.core.ObjSet.ObjSet
 
@@ -18,20 +19,23 @@ import repro.core.ObjSet.ObjSet
   * a principal occurrence marks the arriving frame itself; a state regenerated
   * as an intersection inherits the best mark among its generators (the rule
   * that puts `*3` but not `*2` on `{AB}` in Table 2).
+  *
+  * Serialized form: the window spec, termination hook, counters and last
+  * fid, then the state count and, per state in map order, its object set,
+  * frames and `maxMark`.
   */
 final class MfsGenerator(val spec: WindowSpec,
                          terminated: Option[ObjSet => Boolean] = None)
     extends McosGenerator {
 
   private final class MState(val ids: ObjSet, val frames: FrameSet, var maxMark: Int)
-      extends Serializable
 
   private final class Contrib {
     var candMark: Int = -1
     val sources = mutable.ArrayBuffer.empty[MState]
   }
 
-  private val states = mutable.LinkedHashMap.empty[ObjSet, MState]
+  @transient private var states = mutable.LinkedHashMap.empty[ObjSet, MState]
   private var interCount = 0L
 
   override def stateCount: Int = states.size
@@ -42,6 +46,7 @@ final class MfsGenerator(val spec: WindowSpec,
     states.view.map { case (ids, s) => ids -> (s.frames.toVector, s.maxMark) }.toMap
 
   override def processFrame(fid: Int, objects: ObjSet): Vector[McosResult] = {
+    advanceTo(fid)
     val start = spec.winStart(fid)
 
     // Expire frames and prune invalid states: once every marked frame has
@@ -91,5 +96,26 @@ final class MfsGenerator(val spec: WindowSpec,
       .filter(_.frames.size >= spec.d)
       .map(s => McosResult(fid, s.ids, s.frames.toVector))
       .toVector
+  }
+
+  private def writeObject(out: ObjectOutputStream): Unit = {
+    out.defaultWriteObject()
+    out.writeInt(states.size)
+    states.valuesIterator.foreach { s =>
+      ObjSet.write(out, s.ids)
+      s.frames.writeTo(out)
+      out.writeInt(s.maxMark)
+    }
+  }
+
+  private def readObject(in: ObjectInputStream): Unit = {
+    in.defaultReadObject()
+    states = mutable.LinkedHashMap.empty
+    (0 until in.readInt()).foreach { _ =>
+      val s = new MState(ObjSet.read(in), new FrameSet, -1)
+      s.frames.readFrom(in)
+      s.maxMark = in.readInt()
+      states.update(s.ids, s)
+    }
   }
 }

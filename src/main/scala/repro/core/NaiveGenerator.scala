@@ -1,5 +1,6 @@
 package repro.core
 
+import java.io.{ObjectInputStream, ObjectOutputStream}
 import scala.collection.mutable
 import repro.core.ObjSet.ObjSet
 
@@ -14,20 +15,25 @@ import repro.core.ObjSet.ObjSet
   * share the same frame set … keep the object set with the maximum size"),
   * implemented as a dominance scan so it is exact even for partially-tracked
   * lingerers.
+  *
+  * Serialized form: the window spec, termination hook, counters and last
+  * fid, then the state count and, per state in map order, its object set
+  * and frames.
   */
 final class NaiveGenerator(val spec: WindowSpec,
                            terminated: Option[ObjSet => Boolean] = None)
     extends McosGenerator {
 
-  private final class NState(val ids: ObjSet, val frames: FrameSet) extends Serializable
+  private final class NState(val ids: ObjSet, val frames: FrameSet)
 
-  private val states = mutable.LinkedHashMap.empty[ObjSet, NState]
+  @transient private var states = mutable.LinkedHashMap.empty[ObjSet, NState]
   private var interCount = 0L
 
   override def stateCount: Int = states.size
   override def intersections: Long = interCount
 
   override def processFrame(fid: Int, objects: ObjSet): Vector[McosResult] = {
+    advanceTo(fid)
     val start = spec.winStart(fid)
 
     // Expire old frames. The baseline has no removal mechanism at all — an
@@ -92,5 +98,24 @@ final class NaiveGenerator(val spec: WindowSpec,
       else return false
     }
     i == a.size
+  }
+
+  private def writeObject(out: ObjectOutputStream): Unit = {
+    out.defaultWriteObject()
+    out.writeInt(states.size)
+    states.valuesIterator.foreach { s =>
+      ObjSet.write(out, s.ids)
+      s.frames.writeTo(out)
+    }
+  }
+
+  private def readObject(in: ObjectInputStream): Unit = {
+    in.defaultReadObject()
+    states = mutable.LinkedHashMap.empty
+    (0 until in.readInt()).foreach { _ =>
+      val s = new NState(ObjSet.read(in), new FrameSet)
+      s.frames.readFrom(in)
+      states.update(s.ids, s)
+    }
   }
 }

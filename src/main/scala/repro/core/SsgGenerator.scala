@@ -1,5 +1,6 @@
 package repro.core
 
+import java.io.{ObjectInputStream, ObjectOutputStream}
 import scala.collection.mutable
 import repro.core.ObjSet.ObjSet
 
@@ -29,12 +30,21 @@ import repro.core.ObjSet.ObjSet
   * The Result State Set follows §4.3.7: satisfied states found on the graph
   * this frame, unioned with the still-satisfied carry-over from the previous
   * frame (states the traversal legitimately skipped).
+  *
+  * Serialized form: the window spec, termination hook, counters and last
+  * fid; then the nodes in `states` order, each with its object set, frames,
+  * `maxMark`, creators, last visit and liveness; then each node's children
+  * and each node's parents, the roots and the carried-over result set, all
+  * as lists of node positions in that order. Writing and reading never
+  * recurse, so the graph's depth cannot overflow the stack, and a restored
+  * graph iterates its states, edges, roots and results in the original
+  * order.
   */
 final class SsgGenerator(val spec: WindowSpec,
                          terminated: Option[ObjSet => Boolean] = None)
     extends McosGenerator {
 
-  private final class Node(val ids: ObjSet) extends Serializable {
+  private final class Node(val ids: ObjSet) {
     val frames = new FrameSet
     /** Key-frame marks in compact form (DESIGN.md §3): valid iff >= winStart. */
     var maxMark: Int = -1
@@ -52,9 +62,9 @@ final class SsgGenerator(val spec: WindowSpec,
     val sources = mutable.ArrayBuffer.empty[Node]
   }
 
-  private val states = mutable.LinkedHashMap.empty[ObjSet, Node]
-  private val roots  = mutable.LinkedHashSet.empty[Node]
-  private var resultSet = mutable.LinkedHashSet.empty[Node]
+  @transient private var states = mutable.LinkedHashMap.empty[ObjSet, Node]
+  @transient private var roots  = mutable.LinkedHashSet.empty[Node]
+  @transient private var resultSet = mutable.LinkedHashSet.empty[Node]
   private var interCount = 0L
 
   override def stateCount: Int = states.size
@@ -69,6 +79,7 @@ final class SsgGenerator(val spec: WindowSpec,
     states.view.map { case (ids, s) => ids -> s.children.iterator.map(_.ids).toSet }.toMap
 
   override def processFrame(fid: Int, objects: ObjSet): Vector[McosResult] = {
+    advanceTo(fid)
     val start = spec.winStart(fid)
     val contribs = mutable.LinkedHashMap.empty[ObjSet, Contrib]
     val cnpsCandidates = mutable.ArrayBuffer.empty[ObjSet]
@@ -255,4 +266,52 @@ final class SsgGenerator(val spec: WindowSpec,
 
   private def collectReachable(n: Node, acc: mutable.HashSet[Node]): Unit =
     if (acc.add(n)) n.children.foreach(collectReachable(_, acc))
+
+  // Between frames every node on an edge, root or result is in `states`.
+  private def writeObject(out: ObjectOutputStream): Unit = {
+    out.defaultWriteObject()
+    val nodes = states.valuesIterator.toArray
+    val pos = mutable.HashMap.empty[Node, Int]
+    out.writeInt(nodes.length)
+    nodes.foreach { n =>
+      pos.update(n, pos.size)
+      ObjSet.write(out, n.ids)
+      n.frames.writeTo(out)
+      out.writeInt(n.maxMark)
+      n.creators.writeTo(out)
+      out.writeInt(n.lastVisit)
+      out.writeBoolean(n.alive)
+    }
+    def writeNodes(ns: mutable.LinkedHashSet[Node]): Unit = {
+      out.writeInt(ns.size)
+      ns.foreach(n => out.writeInt(pos(n)))
+    }
+    nodes.foreach(n => writeNodes(n.children))
+    nodes.foreach(n => writeNodes(n.parents))
+    writeNodes(roots)
+    writeNodes(resultSet)
+  }
+
+  private def readObject(in: ObjectInputStream): Unit = {
+    in.defaultReadObject()
+    val nodes = Array.fill(in.readInt()) {
+      val n = new Node(ObjSet.read(in))
+      n.frames.readFrom(in)
+      n.maxMark = in.readInt()
+      n.creators.readFrom(in)
+      n.lastVisit = in.readInt()
+      n.alive = in.readBoolean()
+      n
+    }
+    def readNodes(into: mutable.LinkedHashSet[Node]): Unit =
+      (0 until in.readInt()).foreach(_ => into += nodes(in.readInt()))
+    states = mutable.LinkedHashMap.empty
+    nodes.foreach(n => states.update(n.ids, n))
+    nodes.foreach(n => readNodes(n.children))
+    nodes.foreach(n => readNodes(n.parents))
+    roots = mutable.LinkedHashSet.empty
+    readNodes(roots)
+    resultSet = mutable.LinkedHashSet.empty
+    readNodes(resultSet)
+  }
 }

@@ -13,10 +13,13 @@ import repro.video.VRRow
   * group state inside `flatMapGroupsWithState`, emitting the Result State Set
   * for every processed frame.
   *
-  * Frames are replayed in fid order within each micro-batch; fids must not
-  * regress across batches (the upstream detection layer is ordered). The
-  * generator state is carried via Java serialization — the generators are
-  * plain serializable state machines by construction.
+  * Frames are replayed in fid order within each micro-batch; rows of a frame
+  * no newer than the feed's last processed frame arrive late and are dropped
+  * before they reach the generator, whose `processFrame` would reject them.
+  * The generator state is carried via Java serialization, and each generator
+  * writes a flat form of primitives (DESIGN.md §4): object-set words, live
+  * frames and marks per state, and SSG edges as node positions. So the state
+  * stays compact, and writing it never recurses through the SSG graph.
   */
 object McosStreaming {
 

@@ -1,9 +1,10 @@
 package repro.core
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.RandomizedSpec
 
-/** Unit tests for the sorted frame-id deque underlying every state. */
+/** Unit tests for the sorted frame-id buffer underlying every state. */
 class FrameSetSpec extends AnyFunSuite with RandomizedSpec {
 
   test("append keeps frames sorted and deduplicated") {
@@ -94,5 +95,63 @@ class FrameSetSpec extends AnyFunSuite with RandomizedSpec {
       fs.expire(start)
       assert(fs.toVector === xs.filter(_ >= start))
     }
+  }
+
+  test("randomized: interleaved append/expire/mergeFrom ≡ a Vector model through growth and compaction") {
+    forSeeds(0xB0F) { rnd =>
+      val fs = new FrameSet
+      var model = Vector.empty[Int]
+      var next = 0
+      var appended = 0
+      while (appended < 4 * FrameSet.InitialCapacity || rnd.nextInt(8) != 0) {
+        rnd.nextInt(10) match {
+          case 0 => // expire: keeps up to ~3x the initial capacity live
+            val start = next - rnd.nextInt(6 * FrameSet.InitialCapacity)
+            fs.expire(start)
+            model = model.filter(_ >= start)
+          case 1 => // merge a sorted set overlapping the newest frames
+            val other = Vector.fill(rnd.nextInt(2 * FrameSet.InitialCapacity))(next - 20 + rnd.nextInt(30))
+              .distinct.sorted
+            val b = new FrameSet; other.foreach(b.append)
+            fs.mergeFrom(b)
+            model = (model ++ other).distinct.sorted
+            next = math.max(next, model.lastOption.fold(next)(_ + 1))
+            appended += other.size
+          case 2 => // at or below the newest frame: a no-op unless the set is empty
+            val fid = next - 1 - rnd.nextInt(3)
+            fs.append(fid)
+            if (model.isEmpty || model.last < fid) model :+= fid
+          case _ =>
+            next += 1 + rnd.nextInt(3)
+            fs.append(next)
+            model :+= next
+            appended += 1
+        }
+        assert(fs.toVector === model)
+        assert(fs.size === model.size)
+        assert(fs.isEmpty === model.isEmpty)
+        if (model.nonEmpty) assert(fs.head === model.head && fs.last === model.last)
+      }
+    }
+  }
+
+  private def serialize(fs: FrameSet): Array[Byte] = {
+    val bos = new ByteArrayOutputStream()
+    val out = new ObjectOutputStream(bos)
+    out.writeObject(fs); out.close()
+    bos.toByteArray
+  }
+
+  test("Java round trip after expiry keeps exactly the live frames") {
+    val fs = new FrameSet
+    (1 to 1000).foreach(fs.append)
+    fs.expire(997)
+    val bytes = serialize(fs)
+    val back = new ObjectInputStream(new ByteArrayInputStream(bytes)).readObject().asInstanceOf[FrameSet]
+    assert(back.toVector === Vector(997, 998, 999, 1000))
+    val fresh = new FrameSet; (997 to 1000).foreach(fresh.append)
+    assert(bytes.toSeq === serialize(fresh).toSeq, "expired frames must not be written")
+    back.append(1001); back.expire(999)
+    assert(back.toVector === Vector(999, 1000, 1001))
   }
 }

@@ -65,4 +65,27 @@ class McosModelSpec extends AnyFunSuite {
       assert(g.stateCount > 0)
     }
   }
+
+  Seq("NAIVE", "MFS", "SSG").foreach { m =>
+    test(s"$m rejects a fid that does not follow the previous one") {
+      val g = McosGenerator(m, WindowSpec(4, 2))
+      assertThrows[IllegalArgumentException](g.processFrame(-1, ObjSet.of(1)))
+      g.processFrame(3, ObjSet.of(1, 2))
+      assertThrows[IllegalArgumentException](g.processFrame(3, ObjSet.of(1)))
+      assertThrows[IllegalArgumentException](g.processFrame(2, ObjSet.of(1)))
+      val states = g.stateCount
+      val out = g.processFrame(4, ObjSet.of(1, 2))
+      assert(g.stateCount === states && out.map(_.frames) === Vector(Vector(3, 4)),
+             "a rejected frame must leave the state untouched")
+    }
+  }
+
+  test("a negative object id fails loudly") {
+    assertThrows[IllegalArgumentException](ObjSet.of(3, -1))
+    assertThrows[IllegalArgumentException](ObjSet.from(Seq(-7)))
+    import repro.query.{CnfQuery, Condition, Op, QueryPipeline}
+    val carQuery = CnfQuery(0, Vector(Vector(Condition("car", Op.Ge, 1))))
+    val pipe = new QueryPipeline(Vector(carQuery), WindowSpec(4, 2), "MFS")
+    assertThrows[IllegalArgumentException](pipe.processFrame(0, Seq(-2 -> "car")))
+  }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.ObjSet.ObjSet
+import repro.video.{Profiles, SynthVideo}
 
 /** The generators are Spark group state: they must survive Java
   * serialization round-trips mid-stream with all behaviour intact.
@@ -14,6 +14,18 @@ class SerializationSpec extends AnyFunSuite {
     val out = new ObjectOutputStream(bos)
     out.writeObject(t); out.close()
     new ObjectInputStream(new ByteArrayInputStream(bos.toByteArray)).readObject().asInstanceOf[T]
+  }
+
+  /** [[roundTrip]] on a fresh thread with the JVM's default stack size, as a
+    * Spark task thread has; anything it throws (a `StackOverflowError`
+    * included) fails the test.
+    */
+  private def roundTripOnFreshThread[T <: AnyRef](t: T): T = {
+    var result: Either[Throwable, T] = Left(new IllegalStateException("round trip did not run"))
+    val thread = new Thread(() => result = try Right(roundTrip(t)) catch { case e: Throwable => Left(e) })
+    thread.start()
+    thread.join()
+    result.fold(e => fail(s"round trip failed: $e", e), identity)
   }
 
   private def drive(gen: McosGenerator, fids: Range, rnd: scala.util.Random): Vector[Vector[McosResult]] =
@@ -32,6 +44,33 @@ class SerializationSpec extends AnyFunSuite {
       val cont1 = drive(a2, 20 until 40, new scala.util.Random(2))
       val cont2 = drive(b, 20 until 40, new scala.util.Random(2))
       assert(cont1.map(_.toSet) === cont2.map(_.toSet), s"$method diverged after round-trip")
+    }
+  }
+
+  // Paper scale: w=300, d=240 over Table 6 feeds. Frames 149 and 299 are
+  // boundaries where a default-serialized SSG graph overflowed the stack.
+  private val paperSpec = WindowSpec(300, 240)
+  private val restoreAfter = Set(149, 299, 349)
+  private lazy val feeds: Map[String, Vector[ObjSet.ObjSet]] =
+    Seq("D2", "M2").map { name =>
+      name -> SynthVideo.generate(Profiles.byName(name)).frames.take(400)
+        .map(objs => ObjSet.from(objs.map(_._1)))
+    }.toMap
+
+  for (name <- Seq("D2", "M2"); method <- Seq("NAIVE", "MFS", "SSG")) {
+    test(s"$method restored after frames ${restoreAfter.toSeq.sorted.mkString(", ")} of $name " +
+         "continues exactly like an uninterrupted run") {
+      val frames = feeds(name)
+      val reference = McosGenerator(method, paperSpec)
+      var gen = McosGenerator(method, paperSpec)
+      frames.indices.foreach { fid =>
+        val want = reference.processFrame(fid, frames(fid))
+        val got = gen.processFrame(fid, frames(fid))
+        assert(got === want, s"$method outputs diverged at frame $fid")
+        assert(gen.intersections === reference.intersections, s"$method intersections at frame $fid")
+        assert(gen.stateCount === reference.stateCount, s"$method states at frame $fid")
+        if (restoreAfter(fid)) gen = roundTripOnFreshThread(gen)
+      }
     }
   }
 }

@@ -25,7 +25,8 @@ class McosSparkSpec extends SparkSpec {
   /** Expected rows via the in-process generator, fed only non-empty frames
     * (VR has no rows for empty frames, so neither does the Spark path).
     */
-  private def localRows(stream: repro.video.VideoStream, method: String): Set[McosRow] = {
+  private def localRows(stream: repro.video.VideoStream, method: String,
+                        spec: WindowSpec = spec): Set[McosRow] = {
     val gen = McosGenerator(method, spec)
     stream.frames.zipWithIndex.collect { case (objs, fid) if objs.nonEmpty =>
       gen.processFrame(fid, ObjSet.from(objs.map(_._1)))
@@ -79,6 +80,31 @@ class McosSparkSpec extends SparkSpec {
       }
       val got = spark.table("ssg_stream").as[McosRow].collect().toSeq
       assert(normalize(got) === localRows(streamB, "SSG"))
+    } finally query.stop()
+  }
+
+  test("streaming SSG at paper scale ≡ in-process SSG over M2's first 240 frames in 12 micro-batches") {
+    import spark.implicits._
+    // w=300 as in the paper: by frame 149 the graph is deep enough that a
+    // default-serialized generator overflowed a task thread's stack. d=120
+    // makes states satisfied within the prefix, so rows are compared too.
+    val paperSpec = WindowSpec(w = 300, d = 120)
+    val m2 = SynthVideo.generate(Profiles.M2)
+    val prefix = m2.copy(length = 240, frames = m2.frames.take(240))
+    val enc: Encoder[VRRow] = newProductEncoder[VRRow]
+    val ms = MemoryStream[VRRow](enc, spark)
+    val out = McosStreaming.run(ms.toDS(), paperSpec, "SSG")
+    val query = out.writeStream.format("memory").queryName("ssg_paper_stream")
+      .outputMode("append").start()
+    try {
+      prefix.rows.groupBy(_.fid / 20).toSeq.sortBy(_._1).foreach { case (_, batch) =>
+        ms.addData(batch)
+        query.processAllAvailable()
+      }
+      val got = spark.table("ssg_paper_stream").as[McosRow].collect().toSeq
+      val want = localRows(prefix, "SSG", paperSpec)
+      assert(want.nonEmpty)
+      assert(normalize(got) === want)
     } finally query.stop()
   }
 
