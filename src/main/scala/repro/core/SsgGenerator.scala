@@ -4,95 +4,57 @@ import java.io.{ObjectInputStream, ObjectOutputStream}
 import scala.collection.mutable
 import repro.core.ObjSet.ObjSet
 
-/** The Strict State Graph approach of §4.3.
+/** The Strict State Graph approach of §4.3: the maintenance core with its
+  * own visiting order, a graph to keep, and a carried-over result set.
   *
-  * States are organized in a DAG ordered by strict object-set containment
-  * (Property 1): an edge `s → s'` means `ID_{s'} ⊂ ID_s`. Traversal for an
-  * arriving frame starts from the parentless roots (principal states and
-  * formerly-principal survivors) and — this is SSG's pruning power — skips an
-  * entire subtree as soon as a state's intersection with the arriving object
-  * set is empty, which is sound because a descendant's object set is contained
-  * in its ancestor's (Property 1). MFS/NAIVE instead intersect every state.
+  *  - Visiting: states form a DAG by strict containment (Property 1: an edge
+  *    `s → s'` means `ID_{s'} ⊂ ID_s`). State Traversal (Algorithm 1) walks
+  *    it depth first from the roots and skips a subtree once a state's
+  *    intersection is empty; an invalid state met on the way is killed
+  *    (Theorem 4) and walked through.
+  *  - Edges: created states are attached under their sources by the §4.3.4
+  *    surgery that keeps Property 2 (no child contained in a sibling); a new
+  *    principal state is connected by CNPS (Algorithm 2); killed states are
+  *    detached at frame end and their children re-homed.
+  *  - Results (§4.3.7): the satisfied states the frame touched, then the
+  *    still-satisfied carry-over the traversal may have skipped. Every `w`
+  *    frames a sweep kills invalid states the traversal never reached.
   *
-  * The implementation follows Algorithm 1 (State Traversal) and Algorithm 2
-  * (CNPS) restructured into per-frame phases that keep the hot path
-  * allocation-light:
-  *
-  *  1. an explicit-stack DFS that expires visited states, flags the invalid
-  *     ones (Theorem 4: every key-frame mark expired), computes intersections,
-  *     and accumulates per-object-set contributions (generator sources +
-  *     key-frame marks — see DESIGN.md §3 for the maxMark equivalence);
-  *  2. an apply phase that updates/creates nodes and performs the §4.3.4 edge
-  *     surgery keeping Property 2 (no child contained in a sibling);
-  *  3. CNPS for a brand-new principal state;
-  *  4. deferred removal of flagged states, re-homing their children.
-  *
-  * The Result State Set follows §4.3.7: satisfied states found on the graph
-  * this frame, unioned with the still-satisfied carry-over from the previous
-  * frame (states the traversal legitimately skipped).
-  *
-  * Serialized form: the window spec, termination hook, counters and last
-  * fid; then the nodes in `states` order, each with its object set, frames,
-  * `maxMark`, creators, last visit and liveness; then each node's children
-  * and each node's parents, the roots and the carried-over result set, all
-  * as lists of node positions in that order. Writing and reading never
-  * recurse, so the graph's depth cannot overflow the stack, and a restored
-  * graph iterates its states, edges, roots and results in the original
-  * order.
+  * Serialized form: the core's per-state records, then per state its
+  * creators, last visit and liveness, then each state's children and parents,
+  * the roots and the result set as lists of state positions. Nothing recurses,
+  * so graph depth cannot overflow the stack, and a restored graph iterates
+  * in the original order.
   */
 final class SsgGenerator(val spec: WindowSpec,
                          terminated: Option[ObjSet => Boolean] = None)
-    extends McosGenerator {
+    extends McosCore[SsgGenerator.Node](terminated) {
+  import SsgGenerator.Node
 
-  private final class Node(val ids: ObjSet) {
-    val frames = new FrameSet
-    /** Key-frame marks in compact form (DESIGN.md §3): valid iff >= winStart. */
-    var maxMark: Int = -1
-    /** Frames that created this state directly; principal while non-empty. */
-    val creators = new FrameSet
-    var lastVisit: Int = -1
-    var alive: Boolean = true
-    val children = mutable.LinkedHashSet.empty[Node]
-    val parents  = mutable.LinkedHashSet.empty[Node]
-    def isPrincipal: Boolean = creators.nonEmpty
-  }
-
-  private final class Contrib {
-    var candMark: Int = -1
-    val sources = mutable.ArrayBuffer.empty[Node]
-  }
-
-  @transient private var states = mutable.LinkedHashMap.empty[ObjSet, Node]
-  @transient private var roots  = mutable.LinkedHashSet.empty[Node]
+  @transient private var roots = mutable.LinkedHashSet.empty[Node]
   @transient private var resultSet = mutable.LinkedHashSet.empty[Node]
-  private var interCount = 0L
+  // Per frame: intersections the traversal got from principal states, and
+  // the states it killed (their edges stay in place until buryDead).
+  @transient private var cnpsCandidates = mutable.ArrayBuffer.empty[ObjSet]
+  @transient private var deadList = mutable.ArrayBuffer.empty[Node]
 
-  override def stateCount: Int = states.size
-  override def intersections: Long = interCount
-
-  /** Test hook: maintained states as (object set → (frames, best key-frame)). */
-  private[core] def snapshot: Map[ObjSet, (Vector[Int], Int)] =
-    states.view.map { case (ids, s) => ids -> (s.frames.toVector, s.maxMark) }.toMap
+  protected def newState(ids: ObjSet): Node = new Node(ids)
 
   /** Test hook: edges as (parent object set → child object sets). */
   private[core] def edges: Map[ObjSet, Set[ObjSet]] =
     states.view.map { case (ids, s) => ids -> s.children.iterator.map(_.ids).toSet }.toMap
 
-  override def processFrame(fid: Int, objects: ObjSet): Vector[McosResult] = {
-    advanceTo(fid)
-    val start = spec.winStart(fid)
-    val contribs = mutable.LinkedHashMap.empty[ObjSet, Contrib]
-    val cnpsCandidates = mutable.ArrayBuffer.empty[ObjSet]
-    val deadList = mutable.ArrayBuffer.empty[Node]
+  private def kill(node: Node): Unit = {
+    node.alive = false
+    states.remove(node.ids)
+    deadList += node
+  }
 
-    /** Flag an invalid state; edges stay in place until [[buryDead]]. */
-    def kill(node: Node): Unit = {
-      node.alive = false
-      states.remove(node.ids)
-      deadList += node
-    }
-
-    // ---- Phase 1: State Traversal (Algorithm 1) --------------------------
+  /** State Traversal (Algorithm 1). */
+  override protected def visit(fid: Int, start: Int, objects: ObjSet,
+                               contribs: mutable.LinkedHashMap[ObjSet, Contrib[Node]]): Unit = {
+    cnpsCandidates = mutable.ArrayBuffer.empty
+    deadList = mutable.ArrayBuffer.empty
     val stack = new java.util.ArrayDeque[Node]
     roots.foreach(stack.push)
     while (!stack.isEmpty) {
@@ -101,19 +63,14 @@ final class SsgGenerator(val spec: WindowSpec,
         node.lastVisit = fid
         node.creators.expire(start)
         if (node.maxMark < start) {
-          // Invalid (all key frames expired) — Theorem 4. Children may still
-          // intersect the arriving frame, so keep walking through.
+          // Children may still intersect the arriving frame: walk through.
           kill(node)
           node.children.foreach(stack.push)
         } else {
           node.frames.expire(start)
           if (objects.nonEmpty) {
-            interCount += 1
-            val inter = node.ids & objects
+            val inter = contribute(node, objects, contribs)
             if (inter.nonEmpty) { // else: Property 1 — whole subtree disjoint
-              val c = contribs.getOrElseUpdate(inter, new Contrib)
-              if (node.maxMark > c.candMark) c.candMark = node.maxMark
-              c.sources += node
               if (node.isPrincipal && inter != objects) cnpsCandidates += inter
               node.children.foreach(stack.push)
             }
@@ -121,55 +78,39 @@ final class SsgGenerator(val spec: WindowSpec,
         }
       }
     }
+  }
 
-    var out = Vector.empty[McosResult]
-    val touched = mutable.ArrayBuffer.empty[Node]
-    var newPrincipal: Option[Node] = None
-
+  /** The frame's graph upkeep (attach created states, register the principal
+    * occurrence, CNPS, bury the killed states), then its Result State Set.
+    */
+  override protected def results(fid: Int, start: Int, objects: ObjSet,
+                                 contribs: mutable.LinkedHashMap[ObjSet, Contrib[Node]]): Vector[McosResult] = {
     if (objects.nonEmpty) {
-      // The arriving frame always (re)creates its principal state, with the
-      // frame itself as a key frame (State Marking rule 1).
-      val cp = contribs.getOrElseUpdate(objects, new Contrib)
-      if (fid > cp.candMark) cp.candMark = fid
-
-      // ---- Phase 2: apply updates / create nodes -------------------------
-      contribs.foreach { case (ids, c) =>
-        states.get(ids) match {
-          case Some(node) =>
-            node.frames.expire(start)
-            node.frames.append(fid)
-            if (c.candMark > node.maxMark) node.maxMark = c.candMark
-            touched += node
-          case None =>
-            if (!terminated.exists(_(ids))) {
-              val node = new Node(ids)
-              c.sources.foreach(src => node.frames.mergeFrom(src.frames))
-              node.frames.append(fid)
-              node.maxMark = c.candMark
-              states.update(ids, node)
-              c.sources.foreach(src => addChild(src, node))
-              // A node that could not be attached anywhere (no sources, or
-              // only dead relatives mid-frame) must be a traversal root.
-              if (node.parents.isEmpty) roots += node
-              touched += node
-              if (ids == objects) newPrincipal = Some(node)
-            }
+      // Attach the created states in creation order. The apply step reads no
+      // edges, so this makes the edges that attaching each state as it was
+      // created would. A state that could not be attached anywhere (no
+      // sources, or only dead relatives mid-frame) must be a traversal root.
+      contribs.valuesIterator.foreach { c =>
+        if (c.created) {
+          c.sources.foreach(src => addChild(src, c.state))
+          if (c.state.parents.isEmpty) roots += c.state
         }
       }
-
-      // Register the principal occurrence; for a brand-new principal state,
-      // connect it to the graph per CNPS (Algorithm 2).
-      states.get(objects).foreach { ns =>
-        ns.creators.expire(start)
-        ns.creators.append(fid)
+      // Register the principal occurrence; connect a brand-new principal
+      // state to the graph per CNPS.
+      val cp = contribs(objects)
+      if (cp.state != null) {
+        cp.state.creators.expire(start)
+        cp.state.creators.append(fid)
+        if (cp.created) connectNewPrincipal(cp.state, cnpsCandidates)
       }
-      newPrincipal.foreach(ns => connectNewPrincipal(ns, cnpsCandidates))
     }
 
-    // ---- Result State Set (§4.3.7): graph finds ∪ carry-over -------------
+    val d = spec.d
     val newSR = mutable.LinkedHashSet.empty[Node]
-    touched.foreach { n =>
-      if (n.alive && n.frames.size >= spec.d) newSR += n
+    contribs.valuesIterator.foreach { c =>
+      val n = c.state
+      if (n != null && n.alive && n.frames.size >= d) newSR += n
     }
     resultSet.foreach { n =>
       if (n.alive && n.lastVisit != fid) {
@@ -178,10 +119,10 @@ final class SsgGenerator(val spec: WindowSpec,
         n.creators.expire(start)
         if (n.maxMark < start) kill(n) else n.frames.expire(start)
       }
-      if (n.alive && n.frames.size >= spec.d) newSR += n
+      if (n.alive && n.frames.size >= d) newSR += n
     }
     resultSet = newSR
-    out = resultSet.iterator.map(n => McosResult(fid, n.ids, n.frames.toVector)).toVector
+    val out = resultSet.iterator.map(n => McosResult(fid, n.ids, n.frames.toVector)).toVector
 
     // Amortized sweep: traversal prunes what it visits, but states that never
     // intersect later frames would otherwise linger invalid forever.
@@ -272,12 +213,8 @@ final class SsgGenerator(val spec: WindowSpec,
     out.defaultWriteObject()
     val nodes = states.valuesIterator.toArray
     val pos = mutable.HashMap.empty[Node, Int]
-    out.writeInt(nodes.length)
     nodes.foreach { n =>
       pos.update(n, pos.size)
-      ObjSet.write(out, n.ids)
-      n.frames.writeTo(out)
-      out.writeInt(n.maxMark)
       n.creators.writeTo(out)
       out.writeInt(n.lastVisit)
       out.writeBoolean(n.alive)
@@ -294,24 +231,31 @@ final class SsgGenerator(val spec: WindowSpec,
 
   private def readObject(in: ObjectInputStream): Unit = {
     in.defaultReadObject()
-    val nodes = Array.fill(in.readInt()) {
-      val n = new Node(ObjSet.read(in))
-      n.frames.readFrom(in)
-      n.maxMark = in.readInt()
+    val nodes = states.valuesIterator.toArray
+    nodes.foreach { n =>
       n.creators.readFrom(in)
       n.lastVisit = in.readInt()
       n.alive = in.readBoolean()
-      n
     }
     def readNodes(into: mutable.LinkedHashSet[Node]): Unit =
       (0 until in.readInt()).foreach(_ => into += nodes(in.readInt()))
-    states = mutable.LinkedHashMap.empty
-    nodes.foreach(n => states.update(n.ids, n))
     nodes.foreach(n => readNodes(n.children))
     nodes.foreach(n => readNodes(n.parents))
     roots = mutable.LinkedHashSet.empty
     readNodes(roots)
     resultSet = mutable.LinkedHashSet.empty
     readNodes(resultSet)
+  }
+}
+
+object SsgGenerator {
+  private[core] final class Node(ids: ObjSet) extends McosState(ids) {
+    /** Frames that created this state directly; principal while non-empty. */
+    val creators = new FrameSet
+    var lastVisit: Int = -1
+    var alive: Boolean = true
+    val children = mutable.LinkedHashSet.empty[Node]
+    val parents  = mutable.LinkedHashSet.empty[Node]
+    def isPrincipal: Boolean = creators.nonEmpty
   }
 }

@@ -20,39 +20,24 @@ final case class MatchRow(vid: String, fid: Int, qid: Int, objects: Seq[Int], fr
   */
 object McosBatch {
 
-  /** Replay rows (any order) of one feed through a fresh generator. */
-  private[spark] def replay(vid: String, rows: Iterator[VRRow],
-                            spec: WindowSpec, method: String): Iterator[McosRow] = {
-    val gen = McosGenerator(method, spec)
-    rows.toVector
-      .groupBy(_.fid).toVector.sortBy(_._1)
-      .iterator
-      .flatMap { case (fid, rs) =>
-        gen.processFrame(fid, ObjSet.from(rs.map(_.oid)))
-          .map(r => McosRow(vid, fid, r.objects.toSeq, r.frames))
-      }
-  }
-
-  /** Replay one feed through the full §5 query pipeline. */
-  private[spark] def replayQueries(vid: String, rows: Iterator[VRRow],
-                                   spec: WindowSpec, method: String,
-                                   queries: Vector[CnfQuery],
-                                   pruneByEval: Boolean): Iterator[MatchRow] = {
-    val pipe = new QueryPipeline(queries, spec, method, pruneByEval)
-    rows.toVector
-      .groupBy(_.fid).toVector.sortBy(_._1)
-      .iterator
-      .flatMap { case (fid, rs) =>
-        pipe.processFrame(fid, rs.map(r => (r.oid, r.cls)))
-          .map(m => MatchRow(vid, fid, m.qid, m.objects.toSeq, m.frames))
-      }
-  }
+  /** The replay order of one feed: its rows (any order) grouped by fid, in
+    * ascending fid order, without the frames up to `after` (a streaming
+    * feed's last processed frame; rows of those frames arrived late).
+    */
+  private[spark] def frames(rows: Iterator[VRRow], after: Int = -1): Iterator[(Int, Vector[VRRow])] =
+    rows.toVector.groupBy(_.fid).toVector.sortBy(_._1).iterator.filter(_._1 > after)
 
   /** MCOS generation across all feeds in `events`. */
   def run(events: Dataset[VRRow], spec: WindowSpec, method: String): Dataset[McosRow] = {
     val spark = events.sparkSession
     import spark.implicits._
-    events.groupByKey(_.vid).flatMapGroups((vid, it) => replay(vid, it, spec, method))
+    events.groupByKey(_.vid).flatMapGroups { (vid, rows) =>
+      val gen = McosGenerator(method, spec)
+      frames(rows).flatMap { case (fid, rs) =>
+        gen.processFrame(fid, ObjSet.from(rs.map(_.oid)))
+          .map(r => McosRow(vid, fid, r.objects.toSeq, r.frames))
+      }
+    }
   }
 
   /** Full query evaluation across all feeds in `events`. */
@@ -60,7 +45,12 @@ object McosBatch {
                  queries: Vector[CnfQuery], pruneByEval: Boolean = false): Dataset[MatchRow] = {
     val spark = events.sparkSession
     import spark.implicits._
-    events.groupByKey(_.vid)
-      .flatMapGroups((vid, it) => replayQueries(vid, it, spec, method, queries, pruneByEval))
+    events.groupByKey(_.vid).flatMapGroups { (vid, rows) =>
+      val pipe = new QueryPipeline(queries, spec, method, pruneByEval)
+      frames(rows).flatMap { case (fid, rs) =>
+        pipe.processFrame(fid, rs.map(r => (r.oid, r.cls)))
+          .map(m => MatchRow(vid, fid, m.qid, m.objects.toSeq, m.frames))
+      }
+    }
   }
 }

@@ -38,16 +38,11 @@ object McosStreaming {
       OutputMode.Append(), GroupStateTimeout.NoTimeout()) {
       (vid: String, rows: Iterator[VRRow], state: GroupState[FeedState]) =>
         val st = state.getOption.getOrElse(FeedState(McosGenerator(method, spec), -1))
-        val out = rows.toVector
-          .groupBy(_.fid).toVector.sortBy(_._1)
-          .iterator
-          .filter(_._1 > st.lastFid)
-          .flatMap { case (fid, rs) =>
-            st.lastFid = fid
-            st.gen.processFrame(fid, ObjSet.from(rs.map(_.oid)))
-              .map(r => McosRow(vid, fid, r.objects.toSeq, r.frames))
-          }
-          .toVector
+        val out = McosBatch.frames(rows, st.lastFid).flatMap { case (fid, rs) =>
+          st.lastFid = fid
+          st.gen.processFrame(fid, ObjSet.from(rs.map(_.oid)))
+            .map(r => McosRow(vid, fid, r.objects.toSeq, r.frames))
+        }.toVector
         state.update(st)
         out.iterator
     }

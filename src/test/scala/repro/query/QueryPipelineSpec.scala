@@ -3,7 +3,7 @@ package repro.query
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.RandomizedSpec
-import repro.core.WindowSpec
+import repro.core.{McosGenerator, WindowSpec}
 
 /** End-to-end §5 pipeline tests: variants must agree with each other and the
   * §5.3 termination pruning must not change any query answer (Proposition 1).
@@ -105,5 +105,12 @@ class QueryPipelineSpec extends AnyFunSuite with RandomizedSpec {
     val m = p.processFrame(1, objs)
     assert(m.map(x => (x.qid, x.objects, x.frames)) ===
       Vector((7, repro.core.ObjSet.of(1, 2), Vector(0, 1))))
+  }
+
+  test("QueryPipeline holds its generator in exactly one generator-typed field") {
+    // The benchmark swaps a timing wrapper into that field by reflection.
+    val fields = classOf[QueryPipeline].getDeclaredFields
+      .filter(f => classOf[McosGenerator].isAssignableFrom(f.getType))
+    assert(fields.length === 1, fields.map(_.getName).mkString(", "))
   }
 }

@@ -66,6 +66,30 @@ class McosSparkSpec extends SparkSpec {
     } finally query.stop()
   }
 
+  test("streaming drops late rows of processed frames and replays only the new frames") {
+    import spark.implicits._
+    val enc: Encoder[VRRow] = newProductEncoder[VRRow]
+    val ms = MemoryStream[VRRow](enc, spark)
+    val out = McosStreaming.run(ms.toDS(), spec, "MFS")
+    val query = out.writeStream.format("memory").queryName("late_stream")
+      .outputMode("append").start()
+    try {
+      val rows = streamA.rows
+      val (first, rest) = rows.partition(_.fid < 40)
+      val processed = first.map(_.fid).distinct.sorted
+      // Rows of the last processed frame and of an older one, repeated and
+      // with an object never seen. The generator rejects a frame that is not
+      // newer than its last one, so any of them reaching it fails the query.
+      val late = rows.filter(r => r.fid == processed.last || r.fid == processed.head)
+      val lateRows = late ++ late.map(_.copy(oid = 9999))
+      ms.addData(first); query.processAllAvailable()
+      ms.addData(lateRows ++ rest.filter(_.fid < 77)); query.processAllAvailable()
+      ms.addData(lateRows ++ rest.filter(_.fid >= 77)); query.processAllAvailable()
+      val got = spark.table("late_stream").as[McosRow].collect().toSeq
+      assert(normalize(got) === localRows(streamA, "MFS"))
+    } finally query.stop()
+  }
+
   test("streaming SSG keeps graph state alive across many tiny batches") {
     import spark.implicits._
     val enc: Encoder[VRRow] = newProductEncoder[VRRow]
