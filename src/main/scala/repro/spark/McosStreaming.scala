@@ -19,7 +19,18 @@ import repro.video.VRRow
   * The generator state is carried via Java serialization, and each generator
   * writes a flat form of primitives (DESIGN.md §4): object-set words, live
   * frames and marks per state, and SSG edges as node positions. So the state
-  * stays compact, and writing it never recurses through the SSG graph.
+  * stays compact, and writing it never recurses through the SSG graph. A
+  * feed's state is written only in a micro-batch that processed one of its
+  * frames; a group of late rows alone leaves it as it was.
+  *
+  * `run` also selects [[LocalCheckpointFileManager]] for the session's
+  * streaming checkpoints (Spark's `spark.sql.streaming.checkpointFileManagerClass`),
+  * unless the caller has chosen a manager. Spark's default manager starts a
+  * `readlink` or `chmod` process for most checkpoint writes on a local file
+  * system without the native Hadoop library: 20 per state-store partition and
+  * 20 for the offset and commit logs in every micro-batch, which cost more
+  * than the generators' own work. The setting applies to queries started
+  * from that session afterwards.
   */
 object McosStreaming {
 
@@ -29,8 +40,12 @@ object McosStreaming {
     */
   final case class FeedState(gen: McosGenerator, var lastFid: Int) extends Serializable
 
+  private val checkpointManagerKey = "spark.sql.streaming.checkpointFileManagerClass"
+
   def run(events: Dataset[VRRow], spec: WindowSpec, method: String): Dataset[McosRow] = {
     val spark = events.sparkSession
+    if (spark.conf.getOption(checkpointManagerKey).isEmpty)
+      spark.conf.set(checkpointManagerKey, classOf[LocalCheckpointFileManager].getName)
     import spark.implicits._
     implicit val stateEnc: Encoder[FeedState] = Encoders.javaSerialization[FeedState]
 
@@ -38,12 +53,13 @@ object McosStreaming {
       OutputMode.Append(), GroupStateTimeout.NoTimeout()) {
       (vid: String, rows: Iterator[VRRow], state: GroupState[FeedState]) =>
         val st = state.getOption.getOrElse(FeedState(McosGenerator(method, spec), -1))
+        val lastFid = st.lastFid
         val out = McosBatch.frames(rows, st.lastFid).flatMap { case (fid, rs) =>
           st.lastFid = fid
           st.gen.processFrame(fid, ObjSet.from(rs.map(_.oid)))
             .map(r => McosRow(vid, fid, r.objects.toSeq, r.frames))
         }.toVector
-        state.update(st)
+        if (st.lastFid != lastFid) state.update(st)
         out.iterator
     }
   }

@@ -1,6 +1,10 @@
 package repro.spark
 
-import org.apache.spark.sql.Encoder
+import java.nio.file.Files
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
+import org.apache.hadoop.fs.FileUtil
+import org.apache.spark.sql.{Dataset, Encoder}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import repro.SparkSpec
 import repro.core.{McosGenerator, WindowSpec}
@@ -88,6 +92,57 @@ class McosSparkSpec extends SparkSpec {
       val got = spark.table("late_stream").as[McosRow].collect().toSeq
       assert(normalize(got) === localRows(streamA, "MFS"))
     } finally query.stop()
+  }
+
+  test("a micro-batch of only late rows writes no state, and later rows still match") {
+    import spark.implicits._
+    val enc: Encoder[VRRow] = newProductEncoder[VRRow]
+    val ms = MemoryStream[VRRow](enc, spark)
+    val out = McosStreaming.run(ms.toDS(), spec, "MFS")
+    val query = out.writeStream.format("memory").queryName("late_only_stream")
+      .outputMode("append").start()
+    try {
+      val rows = streamA.rows
+      val (first, rest) = rows.partition(_.fid < 40)
+      val late = first.filter(_.fid >= 30)
+      ms.addData(first); query.processAllAvailable()
+      ms.addData(late); query.processAllAvailable()
+      val lateBatch = query.recentProgress.filter(_.numInputRows > 0).last
+      assert(lateBatch.numInputRows === late.size)
+      assert(lateBatch.stateOperators(0).numRowsUpdated === 0)
+      ms.addData(rest); query.processAllAvailable()
+      val got = spark.table("late_only_stream").as[McosRow].collect().toSeq
+      assert(normalize(got) === localRows(streamA, "MFS"))
+    } finally query.stop()
+  }
+
+  Seq("MFS", "SSG").foreach { method =>
+    test(s"streaming $method restarted from its checkpoint ≡ in-process generator") {
+      import spark.implicits._
+      val enc: Encoder[VRRow] = newProductEncoder[VRRow]
+      val ms = MemoryStream[VRRow](enc, spark)
+      val dir = Files.createTempDirectory("mcos-restart")
+      val emitted = new ConcurrentLinkedQueue[McosRow]()
+      val batchIds = new ConcurrentLinkedQueue[Long]()
+      val sink: (Dataset[McosRow], Long) => Unit = { (batch, id) =>
+        batch.collect().foreach(emitted.add)
+        batchIds.add(id)
+      }
+      def start() = McosStreaming.run(ms.toDS(), spec, method).writeStream
+        .option("checkpointLocation", dir.toString).foreachBatch(sink).start()
+      val batches = streamA.rows.groupBy(_.fid / 20).toSeq.sortBy(_._1).map(_._2)
+      try {
+        // Stop after three micro-batches: the windows (w=30) then hold
+        // states that only the second query's restored state can extend.
+        Seq(batches.take(3), batches.drop(3)).foreach { part =>
+          val query = start()
+          try part.foreach { rows => ms.addData(rows); query.processAllAvailable() }
+          finally query.stop()
+        }
+        assert(batchIds.asScala.toSeq === batches.indices.map(_.toLong))
+        assert(normalize(emitted.asScala.toSeq) === localRows(streamA, method))
+      } finally FileUtil.fullyDelete(dir.toFile)
+    }
   }
 
   test("streaming SSG keeps graph state alive across many tiny batches") {
