@@ -1,10 +1,7 @@
 package repro.bench
 
-import java.io.{ByteArrayOutputStream, ObjectOutputStream}
 import scala.collection.mutable
-import scala.util.control.NonFatal
-import repro.core.{McosGenerator, WindowSpec}
-import repro.core.ObjSet
+import repro.core.{McosGenerator, ObjSet, WindowSpec}
 import repro.query.{CnfQuery, QueryPipeline}
 import repro.video.{Profiles, SynthVideo, VideoStream}
 
@@ -12,12 +9,11 @@ import repro.video.{Profiles, SynthVideo, VideoStream}
   *
   * Timings follow the paper's methodology: the (sequential, per-feed) state
   * maintenance is what is measured — a wall-clock loop over frames through a
-  * generator or query pipeline, after a JIT warm-up pass. Results print as
-  * aligned tables (one bench per paper table/figure) so `bench_output.txt`
-  * can be diffed against EXPERIMENTS.md.
+  * generator or query pipeline, after a JIT warm-up pass. Every bench prints
+  * aligned tables (one per paper table/figure; Figs 4–9 through `sweep`), and
+  * `sbt -batch "bench/test"` regenerates what EXPERIMENTS.md compares.
   */
 object BenchHarness {
-
   /** Generated evaluation streams, cached across bench suites. */
   private val cache = mutable.HashMap.empty[(String, Int), VideoStream]
   def stream(name: String, idReuse: Int = 0): VideoStream = synchronized {
@@ -25,18 +21,15 @@ object BenchHarness {
   }
 
   val datasets: Vector[String] = Profiles.all.map(_.name)
+  val methods: Seq[String] = Seq("NAIVE", "MFS", "SSG")
 
   final case class RunStats(ms: Double, states: Int, intersections: Long, results: Long)
 
-  /** Time MCOS generation over the first `maxFrames` frames of a stream. */
-  def runMcos(s: VideoStream, spec: WindowSpec, method: String,
-              maxFrames: Int = Int.MaxValue): RunStats =
-    runGenerator(s, McosGenerator(method, spec), maxFrames)
-
   /** Time a fresh generator over the first `maxFrames` frames of a stream. */
-  def runGenerator(s: VideoStream, gen: McosGenerator, maxFrames: Int = Int.MaxValue): RunStats = {
-    val frames = s.frames.take(maxFrames)
-    val sets = frames.map(objs => ObjSet.from(objs.map(_._1)))
+  def runMcos(s: VideoStream, spec: WindowSpec, method: String,
+              maxFrames: Int = Int.MaxValue): RunStats = {
+    val gen = McosGenerator(method, spec)
+    val sets = s.frames.take(maxFrames).map(objs => ObjSet.from(objs.map(_._1)))
     var results = 0L
     val t0 = System.nanoTime()
     var fid = 0
@@ -49,9 +42,8 @@ object BenchHarness {
 
   /** Time the full §5 pipeline (MCOS generation + CNFEvalE). */
   def runPipeline(s: VideoStream, spec: WindowSpec, method: String,
-                  queries: Vector[CnfQuery], pruneByEval: Boolean,
-                  maxFrames: Int = Int.MaxValue): RunStats = {
-    val frames = s.frames.take(maxFrames)
+                  queries: Vector[CnfQuery], pruneByEval: Boolean): RunStats = {
+    val frames = s.frames
     val pipe = new QueryPipeline(queries, spec, method, pruneByEval)
     var results = 0L
     val t0 = System.nanoTime()
@@ -63,33 +55,38 @@ object BenchHarness {
     RunStats((System.nanoTime() - t0) / 1e6, pipe.stateCount, pipe.intersections, results)
   }
 
-  /** Java-serialized size of `obj` in bytes, written on a fresh thread with
-    * the JVM's default stack size (as a Spark task thread has); -1 if the
-    * write fails, e.g. by overflowing that stack.
-    */
-  def serializedBytes(obj: AnyRef): Long = {
-    var bytes = -1L
-    val t = new Thread(() => {
-      val bos = new ByteArrayOutputStream()
-      try {
-        val out = new ObjectOutputStream(bos)
-        out.writeObject(obj)
-        out.close()
-        bytes = bos.size
-      } catch { case NonFatal(_) | _: StackOverflowError => }
-    })
-    t.start()
-    t.join()
-    bytes
-  }
-
   /** One small warm-up so JIT noise does not dominate the first cell. */
-  def warmUp(): Unit = {
-    val s = stream("M2")
-    Seq("NAIVE", "MFS", "SSG").foreach(m => runMcos(s, WindowSpec(60, 48), m, maxFrames = 200))
+  def warmUp(): Unit = methods.foreach(m => runMcos(stream("M2"), WindowSpec(60, 48), m, maxFrames = 200))
+
+  /** A sweep's cells, one row per (dataset, axis value) in run order; `apply`
+    * and `ms` give one dataset's cells of one column in axis order.
+    */
+  final case class Sweep(rows: Seq[(String, Int, Map[String, RunStats])]) {
+    def apply(dataset: String, column: String): Vector[RunStats] =
+      rows.collect { case (`dataset`, _, cells) => cells(column) }.toVector
+    def ms(dataset: String, column: String): Vector[Double] = apply(dataset, column).map(_.ms)
   }
 
-  // ---- table printing ----------------------------------------------------
+  /** Warm up, then time one cell per dataset, axis value and column, in that
+    * order (timings depend on JIT order), with `run(dataset, value, column)`.
+    * Prints the figure's table: `Dataset`, the axis, the columns' ms and one
+    * speedup column `a/b` per `ratios` pair (an unpruned `_E` suffix is left
+    * out of its label: `NAIVE_E -> MFS_O` prints as `NAIVE/MFS_O`).
+    */
+  def sweep(title: String, axis: String, columns: Seq[String], ratios: Seq[(String, String)],
+            datasets: Seq[String], values: String => Seq[Int], note: String)
+           (run: (String, Int, String) => RunStats): Sweep = {
+    warmUp()
+    val result = Sweep(for (d <- datasets; v <- values(d))
+      yield (d, v, columns.map(c => c -> run(d, v, c)).toMap))
+    def label(c: String) = c.stripSuffix("_E")
+    printTable(title, Seq("Dataset", axis) ++ columns ++ ratios.map { case (a, b) => s"${label(a)}/${label(b)}" },
+      result.rows.map { case (d, v, cells) =>
+        Seq(d, v.toString) ++ columns.map(c => f"${cells(c).ms}%.1f") ++
+          ratios.map { case (a, b) => f"${cells(a).ms / cells(b).ms}%.2fx" }
+      }, note)
+    result
+  }
 
   def printTable(title: String, header: Seq[String], rows: Seq[Seq[String]],
                  note: String = ""): Unit = {
@@ -105,10 +102,4 @@ object BenchHarness {
     rows.foreach(r => println(fmt(r)))
     println()
   }
-
-  def ms(x: Double): String = f"$x%.1f"
-
-  /** speedup of NAIVE over a method, the paper's headline metric. */
-  def speedup(naiveMs: Double, methodMs: Double): String =
-    f"${naiveMs / methodMs}%.2fx"
 }

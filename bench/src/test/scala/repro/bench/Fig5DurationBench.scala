@@ -2,6 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.WindowSpec
+import BenchHarness._
 
 /** Figure 5 — MCOS generation time vs duration threshold d ∈ [180, 270] at
   * w = 300. Expected shape: essentially flat in d (d only gates the Result
@@ -9,40 +10,21 @@ import repro.core.WindowSpec
   * (paper: MFS up to >3x on V2, SSG up to ~3.5x on M2).
   */
 class Fig5DurationBench extends AnyFunSuite {
-  private val methods = Seq("NAIVE", "MFS", "SSG")
-  private val durations = Seq(180, 210, 240, 270)
-
   test("Figure 5: varying duration d") {
-    BenchHarness.warmUp()
-    val times = scala.collection.mutable.Map.empty[(String, String), Vector[Double]]
-    val rows = for {
-      name <- BenchHarness.datasets
-      d <- durations
-    } yield {
-      val s = BenchHarness.stream(name)
-      val cells = methods.map(m => BenchHarness.runMcos(s, WindowSpec(300, d), m))
-      methods.zip(cells).foreach { case (m, c) =>
-        times((name, m)) = times.getOrElse((name, m), Vector.empty) :+ c.ms
-      }
-      Seq(name, d.toString) ++ cells.map(c => BenchHarness.ms(c.ms)) ++
-        Seq(BenchHarness.speedup(cells(0).ms, cells(1).ms),
-            BenchHarness.speedup(cells(0).ms, cells(2).ms))
+    val t = sweep("Figure 5: time (ms) vs duration d  [w=300]", "d",
+        methods, Seq("NAIVE" -> "MFS", "NAIVE" -> "SSG"), datasets, _ => Seq(180, 210, 240, 270),
+        note = "Paper shape: flat in d; MFS/SSG consistently under NAIVE.") {
+      (name, d, m) => runMcos(stream(name), WindowSpec(300, d), m)
     }
-    BenchHarness.printTable(
-      "Figure 5: time (ms) vs duration d  [w=300]",
-      Seq("Dataset", "d", "NAIVE", "MFS", "SSG", "NAIVE/MFS", "NAIVE/SSG"),
-      rows,
-      note = "Paper shape: flat in d; MFS/SSG consistently under NAIVE.")
 
     // Flatness: per dataset×method, max/min across d stays within 2x.
-    times.foreach { case ((name, m), ts) =>
+    for (name <- datasets; m <- methods; ts = t.ms(name, m))
       assert(ts.max / ts.min < 2.0, s"$name/$m: time should be stable in d, got $ts")
-    }
     // MFS/SSG under NAIVE at the default d for every dataset.
-    BenchHarness.datasets.foreach { name =>
-      val n = times((name, "NAIVE")).sum
-      assert(times((name, "MFS")).sum < n, s"$name: MFS total must beat NAIVE")
-      assert(times((name, "SSG")).sum < n * 1.05, s"$name: SSG must not lose to NAIVE")
+    datasets.foreach { name =>
+      val n = t.ms(name, "NAIVE").sum
+      assert(t.ms(name, "MFS").sum < n, s"$name: MFS total must beat NAIVE")
+      assert(t.ms(name, "SSG").sum < n * 1.05, s"$name: SSG must not lose to NAIVE")
     }
   }
 }

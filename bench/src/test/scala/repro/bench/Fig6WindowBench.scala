@@ -2,6 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.WindowSpec
+import BenchHarness._
 
 /** Figure 6 — MCOS generation time vs window size w at fixed d = 240.
   * Expected shape: all methods grow with w (more states in flight); the
@@ -10,39 +11,24 @@ import repro.core.WindowSpec
   * than MFS on M1, ~2x on M2 at large w).
   */
 class Fig6WindowBench extends AnyFunSuite {
-  private val methods = Seq("NAIVE", "MFS", "SSG")
   private val windows = Seq(240, 300, 360, 420)
 
   test("Figure 6: varying window size w") {
-    BenchHarness.warmUp()
-    val times = scala.collection.mutable.Map.empty[(String, String), Vector[Double]]
-    val rows = for {
-      name <- BenchHarness.datasets
-      w <- windows
-    } yield {
-      val s = BenchHarness.stream(name)
-      val cells = methods.map(m => BenchHarness.runMcos(s, WindowSpec(w, 240), m))
-      methods.zip(cells).foreach { case (m, c) =>
-        times((name, m)) = times.getOrElse((name, m), Vector.empty) :+ c.ms
-      }
-      Seq(name, w.toString) ++ cells.map(c => BenchHarness.ms(c.ms)) ++
-        Seq(BenchHarness.speedup(cells(1).ms, cells(2).ms))
+    val t = sweep("Figure 6: time (ms) vs window size w  [d=240]", "w",
+        methods, Seq("MFS" -> "SSG"), datasets, _ => windows,
+        note = "Paper shape: growth with w; SSG benefits most on moving-camera M1/M2.") {
+      (name, w, m) => runMcos(stream(name), WindowSpec(w, 240), m)
     }
-    BenchHarness.printTable(
-      "Figure 6: time (ms) vs window size w  [d=240]",
-      Seq("Dataset", "w", "NAIVE", "MFS", "SSG", "MFS/SSG"),
-      rows,
-      note = "Paper shape: growth with w; SSG benefits most on moving-camera M1/M2.")
 
     // No collapse with w (single-run cells carry ~±25% JIT/GC noise, so this
     // is a loose floor; the table above is the reproduced artifact).
-    BenchHarness.datasets.foreach { name =>
-      val ts = times((name, "NAIVE"))
+    datasets.foreach { name =>
+      val ts = t.ms(name, "NAIVE")
       assert(ts.last > ts.head * 0.6, s"$name: NAIVE should not shrink with w: $ts")
     }
     // On moving-camera feeds, SSG beats MFS at the largest window.
     Seq("M1", "M2").foreach { name =>
-      assert(times((name, "SSG")).last < times((name, "MFS")).last,
+      assert(t.ms(name, "SSG").last < t.ms(name, "MFS").last,
         s"$name: SSG must beat MFS at w=${windows.last}")
     }
   }

@@ -2,6 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.WindowSpec
+import BenchHarness._
 
 /** Figure 7 — MCOS generation time vs the occlusion parameter p_o (object
   * ids reused at most p_o times, §6.2), w=300, d=240. Expected shape: more
@@ -10,40 +11,21 @@ import repro.core.WindowSpec
   * out SSG at high p_o as graph pruning loses bite).
   */
 class Fig7OcclusionBench extends AnyFunSuite {
-  private val spec = WindowSpec(300, 240)
-  private val methods = Seq("NAIVE", "MFS", "SSG")
-  private val pos = Seq(0, 1, 2, 3)
-
   test("Figure 7: varying #occlusions p_o") {
-    BenchHarness.warmUp()
-    val times = scala.collection.mutable.Map.empty[(String, String), Vector[Double]]
-    val rows = for {
-      name <- BenchHarness.datasets
-      po <- pos
-    } yield {
-      val s = BenchHarness.stream(name, idReuse = po)
-      val cells = methods.map(m => BenchHarness.runMcos(s, spec, m))
-      methods.zip(cells).foreach { case (m, c) =>
-        times((name, m)) = times.getOrElse((name, m), Vector.empty) :+ c.ms
-      }
-      Seq(name, po.toString) ++ cells.map(c => BenchHarness.ms(c.ms)) ++
-        Seq(BenchHarness.speedup(cells(0).ms, cells(1).ms),
-            BenchHarness.speedup(cells(0).ms, cells(2).ms))
+    val t = sweep("Figure 7: time (ms) vs occlusion parameter p_o  [w=300, d=240]", "p_o",
+        methods, Seq("NAIVE" -> "MFS", "NAIVE" -> "SSG"), datasets, _ => Seq(0, 1, 2, 3),
+        note = "Paper shape: cost rises with p_o; MFS/SSG advantage over NAIVE widens.") {
+      (name, po, m) => runMcos(stream(name, idReuse = po), WindowSpec(300, 240), m)
     }
-    BenchHarness.printTable(
-      "Figure 7: time (ms) vs occlusion parameter p_o  [w=300, d=240]",
-      Seq("Dataset", "p_o", "NAIVE", "MFS", "SSG", "NAIVE/MFS", "NAIVE/SSG"),
-      rows,
-      note = "Paper shape: cost rises with p_o; MFS/SSG advantage over NAIVE widens.")
 
     // MFS keeps beating NAIVE at the highest occlusion level. SSG's graph
     // pruning loses bite as p_o-induced overlap grows (the paper's own
     // observation that MFS can edge out SSG at p_o=3), so SSG only gets a
     // no-collapse bound there.
-    BenchHarness.datasets.foreach { name =>
-      val naive = times((name, "NAIVE")).last
-      assert(times((name, "MFS")).last < naive, s"$name: MFS must beat NAIVE at p_o=3")
-      assert(times((name, "SSG")).last < naive * 1.25, s"$name: SSG must not collapse vs NAIVE at p_o=3")
+    datasets.foreach { name =>
+      val naive = t.ms(name, "NAIVE").last
+      assert(t.ms(name, "MFS").last < naive, s"$name: MFS must beat NAIVE at p_o=3")
+      assert(t.ms(name, "SSG").last < naive * 1.25, s"$name: SSG must not collapse vs NAIVE at p_o=3")
     }
   }
 }

@@ -3,6 +3,7 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.WindowSpec
 import repro.query.CnfQuery
+import BenchHarness._
 
 /** Figure 8 — MCOS generation + query evaluation time vs number of CNF
   * queries (10..50), w=300, d=240. Expected shape: flat in #queries (the
@@ -11,44 +12,25 @@ import repro.query.CnfQuery
   * denser feed (paper Fig 8b, overall speedup >3x).
   */
 class Fig8QueriesBench extends AnyFunSuite {
-  private val spec = WindowSpec(300, 240)
-  private val methods = Seq("NAIVE", "MFS", "SSG")
-  private val counts = Seq(10, 20, 30, 40, 50)
   // The paper plots two datasets; one static-camera, one moving-camera.
-  private val datasets = Seq("D2", "M2")
+  private val feeds = Seq("D2", "M2")
+  private val columns = Seq("NAIVE_E", "MFS_E", "SSG_E")
 
   test("Figure 8: varying the number of queries") {
-    BenchHarness.warmUp()
-    val times = scala.collection.mutable.Map.empty[(String, String), Vector[Double]]
-    val rows = for {
-      name <- datasets
-      n <- counts
-    } yield {
-      val s = BenchHarness.stream(name)
-      val queries = CnfQuery.randomQueries(n, seed = 1234 + n)
-      val cells = methods.map(m =>
-        BenchHarness.runPipeline(s, spec, m, queries, pruneByEval = false))
-      methods.zip(cells).foreach { case (m, c) =>
-        times((name, m)) = times.getOrElse((name, m), Vector.empty) :+ c.ms
-      }
-      Seq(name, n.toString) ++ cells.map(c => BenchHarness.ms(c.ms)) ++
-        Seq(BenchHarness.speedup(cells(0).ms, cells(1).ms),
-            BenchHarness.speedup(cells(0).ms, cells(2).ms))
+    val t = sweep("Figure 8: gen+eval time (ms) vs #queries  [w=300, d=240]", "#Q",
+        columns, Seq("NAIVE_E" -> "MFS_E", "NAIVE_E" -> "SSG_E"), feeds, _ => Seq(10, 20, 30, 40, 50),
+        note = "Paper shape: flat in #queries — query evaluation cost is negligible " +
+               "next to state maintenance.") {
+      (name, n, m) => runPipeline(stream(name), WindowSpec(300, 240), m.stripSuffix("_E"),
+        CnfQuery.randomQueries(n, seed = 1234 + n), pruneByEval = false)
     }
-    BenchHarness.printTable(
-      "Figure 8: gen+eval time (ms) vs #queries  [w=300, d=240]",
-      Seq("Dataset", "#Q", "NAIVE_E", "MFS_E", "SSG_E", "NAIVE/MFS", "NAIVE/SSG"),
-      rows,
-      note = "Paper shape: flat in #queries — query evaluation cost is negligible " +
-             "next to state maintenance.")
 
-    times.foreach { case ((name, m), ts) =>
+    for (name <- feeds; m <- columns; ts = t.ms(name, m))
       assert(ts.max / ts.min < 2.0, s"$name/$m: time should be flat in #queries: $ts")
-    }
-    datasets.foreach { name =>
-      assert(times((name, "MFS")).sum < times((name, "NAIVE")).sum,
+    feeds.foreach { name =>
+      assert(t.ms(name, "MFS_E").sum < t.ms(name, "NAIVE_E").sum,
         s"$name: MFS must beat NAIVE")
-      assert(times((name, "SSG")).sum < times((name, "NAIVE")).sum * 1.05,
+      assert(t.ms(name, "SSG_E").sum < t.ms(name, "NAIVE_E").sum * 1.05,
         s"$name: SSG must not lose to NAIVE")
     }
   }

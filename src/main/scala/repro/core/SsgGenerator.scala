@@ -21,10 +21,10 @@ import repro.core.ObjSet.ObjSet
   *    frames a sweep kills invalid states the traversal never reached.
   *
   * Serialized form: the core's per-state records, then per state its
-  * creators, last visit and liveness, then each state's children and parents,
-  * the roots and the result set as lists of state positions. Nothing recurses,
-  * so graph depth cannot overflow the stack, and a restored graph iterates
-  * in the original order.
+  * principal mark, then each state's children and parents, the roots and the
+  * result set as lists of state positions. Nothing recurses, so graph depth
+  * cannot overflow the stack, and a restored graph iterates in the original
+  * order.
   */
 final class SsgGenerator(val spec: WindowSpec,
                          terminated: Option[ObjSet => Boolean] = None)
@@ -61,7 +61,6 @@ final class SsgGenerator(val spec: WindowSpec,
       val node = stack.pop()
       if (node.lastVisit != fid && node.alive) {
         node.lastVisit = fid
-        node.creators.expire(start)
         if (node.maxMark < start) {
           // Children may still intersect the arriving frame: walk through.
           kill(node)
@@ -71,7 +70,7 @@ final class SsgGenerator(val spec: WindowSpec,
           if (objects.nonEmpty) {
             val inter = contribute(node, objects, contribs)
             if (inter.nonEmpty) { // else: Property 1 — whole subtree disjoint
-              if (node.isPrincipal && inter != objects) cnpsCandidates += inter
+              if (node.principalAt >= start && inter != objects) cnpsCandidates += inter
               node.children.foreach(stack.push)
             }
           }
@@ -100,8 +99,7 @@ final class SsgGenerator(val spec: WindowSpec,
       // state to the graph per CNPS.
       val cp = contribs(objects)
       if (cp.state != null) {
-        cp.state.creators.expire(start)
-        cp.state.creators.append(fid)
+        cp.state.principalAt = fid
         if (cp.created) connectNewPrincipal(cp.state, cnpsCandidates)
       }
     }
@@ -116,7 +114,6 @@ final class SsgGenerator(val spec: WindowSpec,
       if (n.alive && n.lastVisit != fid) {
         // Legitimately skipped by traversal: expire lazily here.
         n.lastVisit = fid
-        n.creators.expire(start)
         if (n.maxMark < start) kill(n) else n.frames.expire(start)
       }
       if (n.alive && n.frames.size >= d) newSR += n
@@ -208,16 +205,15 @@ final class SsgGenerator(val spec: WindowSpec,
   private def collectReachable(n: Node, acc: mutable.HashSet[Node]): Unit =
     if (acc.add(n)) n.children.foreach(collectReachable(_, acc))
 
-  // Between frames every node on an edge, root or result is in `states`.
+  // Between frames every node on an edge, root or result is in `states` and
+  // alive, and the next fid is newer than any last visit: both take defaults.
   private def writeObject(out: ObjectOutputStream): Unit = {
     out.defaultWriteObject()
     val nodes = states.valuesIterator.toArray
     val pos = mutable.HashMap.empty[Node, Int]
     nodes.foreach { n =>
       pos.update(n, pos.size)
-      n.creators.writeTo(out)
-      out.writeInt(n.lastVisit)
-      out.writeBoolean(n.alive)
+      out.writeInt(n.principalAt)
     }
     def writeNodes(ns: mutable.LinkedHashSet[Node]): Unit = {
       out.writeInt(ns.size)
@@ -232,11 +228,7 @@ final class SsgGenerator(val spec: WindowSpec,
   private def readObject(in: ObjectInputStream): Unit = {
     in.defaultReadObject()
     val nodes = states.valuesIterator.toArray
-    nodes.foreach { n =>
-      n.creators.readFrom(in)
-      n.lastVisit = in.readInt()
-      n.alive = in.readBoolean()
-    }
+    nodes.foreach(n => n.principalAt = in.readInt())
     def readNodes(into: mutable.LinkedHashSet[Node]): Unit =
       (0 until in.readInt()).foreach(_ => into += nodes(in.readInt()))
     nodes.foreach(n => readNodes(n.children))
@@ -250,12 +242,14 @@ final class SsgGenerator(val spec: WindowSpec,
 
 object SsgGenerator {
   private[core] final class Node(ids: ObjSet) extends McosState(ids) {
-    /** Frames that created this state directly; principal while non-empty. */
-    val creators = new FrameSet
+    /** Newest frame whose object set is this state's; principal while that
+      * frame is in the window. Unset lies below every (early, negative)
+      * window start.
+      */
+    var principalAt: Int = Int.MinValue
     var lastVisit: Int = -1
     var alive: Boolean = true
     val children = mutable.LinkedHashSet.empty[Node]
     val parents  = mutable.LinkedHashSet.empty[Node]
-    def isPrincipal: Boolean = creators.nonEmpty
   }
 }
