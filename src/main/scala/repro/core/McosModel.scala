@@ -44,11 +44,6 @@ final case class WindowSpec(w: Int, d: Int) {
   def winStart(fid: Int): Int = fid - w + 1
 }
 
-/** One input frame of the structured relation VR, pre-grouped: the set of
-  * object ids detected in frame `fid`.
-  */
-final case class Frame(fid: Int, objects: ObjSet)
-
 /** A satisfied, valid state emitted by MCOS generation at frame `fid`:
   * `objects` is an MCOS of `frames` (all within the window ending at `fid`)
   * and `frames.size >= d`.

@@ -5,14 +5,15 @@ import scala.collection.mutable
 /** CNFEvalE (§5.2): the Boolean-expression inverted index of Whang et al.
   * [24] extended with inequality predicates.
   *
-  * Three indexes are kept, one per operator. Keys are class labels; each key
-  * holds a value-ordered list of posting lists of `(qid, disjId)` triples
-  * (the `∈` predicate of the original algorithm is implicit — conditions here
-  * are count comparisons). For an input aggregate `(label, v)`:
+  * One index list is kept per class label and operator. Each holds the
+  * condition values of that label and operator, with a posting list of
+  * `(qid, disjId)` pairs per value (the `∈` predicate of the original
+  * algorithm is implicit — conditions here are count comparisons). For an
+  * input aggregate `(label, v)`:
   *
-  *  - the ≥ index is value-ascending and is scanned while `value <= v`,
-  *  - the ≤ index is value-descending and is scanned while `value >= v`,
-  *  - the = index is probed at exactly `v`.
+  *  - the ≥ list is value-ascending and the ≤ list value-descending, so the
+  *    postings `v` satisfies form a prefix of each, scanned until `θ` fails,
+  *  - the = list is probed at exactly `v`.
   *
   * A label absent from the input has count 0 (an MCOS with no `person`
   * satisfies `person <= 3`), so evaluation walks the union of index labels
@@ -26,32 +27,23 @@ final class CnfEvalE private (queries: Vector[CnfQuery]) extends Serializable {
 
   private val clauseCount: Map[Int, Int] = queries.map(q => q.id -> q.clauses.size).toMap
 
-  // label -> value-sorted array of (value, postings)
-  private val geIndex = mutable.HashMap.empty[String, Array[(Int, Array[Posting])]]
-  private val leIndex = mutable.HashMap.empty[String, Array[(Int, Array[Posting])]]
+  // (label, ≥ or ≤, value-sorted (value, postings))
+  private val ranged = mutable.ArrayBuffer.empty[(String, Op, Array[(Int, Array[Posting])])]
+  // label -> value -> postings
   private val eqIndex = mutable.HashMap.empty[String, Map[Int, Array[Posting]]]
 
   locally {
-    val ge = mutable.HashMap.empty[String, mutable.HashMap[Int, mutable.ArrayBuffer[Posting]]]
-    val le = mutable.HashMap.empty[String, mutable.HashMap[Int, mutable.ArrayBuffer[Posting]]]
-    val eq = mutable.HashMap.empty[String, mutable.HashMap[Int, mutable.ArrayBuffer[Posting]]]
-    for (q <- queries; (clause, disjId) <- q.clauses.zipWithIndex; c <- clause) {
-      val book = c.op match {
-        case Op.Ge => ge
-        case Op.Le => le
-        case Op.Eq => eq
-      }
-      book.getOrElseUpdate(c.label, mutable.HashMap.empty)
+    val book = mutable.HashMap.empty[(String, Op), mutable.HashMap[Int, mutable.ArrayBuffer[Posting]]]
+    for (q <- queries; (clause, disjId) <- q.clauses.zipWithIndex; c <- clause)
+      book.getOrElseUpdate((c.label, c.op), mutable.HashMap.empty)
         .getOrElseUpdate(c.n, mutable.ArrayBuffer.empty) += ((q.id, disjId))
-    }
-    ge.foreach { case (l, m) =>
-      geIndex(l) = m.toArray.sortBy(_._1).map { case (v, ps) => (v, ps.toArray) }
-    }
-    le.foreach { case (l, m) =>
-      leIndex(l) = m.toArray.sortBy(-_._1).map { case (v, ps) => (v, ps.toArray) }
-    }
-    eq.foreach { case (l, m) =>
-      eqIndex(l) = m.view.mapValues(_.toArray).toMap
+    book.foreach { case ((label, op), byValue) =>
+      val postings = byValue.toArray.map { case (n, ps) => (n, ps.toArray) }
+      if (op == Op.Eq) eqIndex(label) = postings.toMap
+      else {
+        val ascending = postings.sortBy(_._1)
+        ranged += ((label, op, if (op == Op.Ge) ascending else ascending.reverse))
+      }
     }
   }
 
@@ -62,15 +54,10 @@ final class CnfEvalE private (queries: Vector[CnfQuery]) extends Serializable {
     def hit(p: Posting): Unit =
       satisfied.getOrElseUpdate(p._1, mutable.BitSet.empty) += p._2
 
-    geIndex.foreach { case (label, list) =>
+    ranged.foreach { case (label, op, list) =>
       val v = aggs.getOrElse(label, 0)
       var i = 0
-      while (i < list.length && list(i)._1 <= v) { list(i)._2.foreach(hit); i += 1 }
-    }
-    leIndex.foreach { case (label, list) =>
-      val v = aggs.getOrElse(label, 0)
-      var i = 0
-      while (i < list.length && list(i)._1 >= v) { list(i)._2.foreach(hit); i += 1 }
+      while (i < list.length && op.eval(v, list(i)._1)) { list(i)._2.foreach(hit); i += 1 }
     }
     eqIndex.foreach { case (label, byValue) =>
       byValue.get(aggs.getOrElse(label, 0)).foreach(_.foreach(hit))
@@ -83,8 +70,6 @@ final class CnfEvalE private (queries: Vector[CnfQuery]) extends Serializable {
 
   /** True iff at least one query matches — the §5.3 termination test. */
   def anyMatch(aggs: Map[String, Int]): Boolean = matching(aggs).nonEmpty
-
-  def size: Int = queries.size
 }
 
 object CnfEvalE {

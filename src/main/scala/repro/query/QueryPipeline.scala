@@ -65,7 +65,7 @@ final class QueryPipeline(val queries: Vector[CnfQuery],
   }
 
   /** Step 2 of §5.2 over a Result State Set. */
-  def evaluate(results: Vector[McosResult]): Vector[QueryMatch] =
+  private def evaluate(results: Vector[McosResult]): Vector[QueryMatch] =
     results.flatMap { r =>
       index.matching(aggregates(r.objects)).toVector.sorted
         .map(qid => QueryMatch(r.fid, qid, r.objects, r.frames))

@@ -22,10 +22,12 @@ object McosBatch {
 
   /** The replay order of one feed: its rows (any order) grouped by fid, in
     * ascending fid order, without the frames up to `after` (a streaming
-    * feed's last processed frame; rows of those frames arrived late).
+    * feed's last processed frame; rows of those frames arrived late). Every
+    * other frame, a negative fid included, reaches the generator, which
+    * rejects the frames it cannot take.
     */
-  private[spark] def frames(rows: Iterator[VRRow], after: Int = -1): Iterator[(Int, Vector[VRRow])] =
-    rows.toVector.groupBy(_.fid).toVector.sortBy(_._1).iterator.filter(_._1 > after)
+  private[spark] def frames(rows: Iterator[VRRow], after: Option[Int] = None): Iterator[(Int, Vector[VRRow])] =
+    rows.toVector.groupBy(_.fid).toVector.sortBy(_._1).iterator.filter(f => after.forall(f._1 > _))
 
   /** MCOS generation across all feeds in `events`. */
   def run(events: Dataset[VRRow], spec: WindowSpec, method: String): Dataset[McosRow] = {

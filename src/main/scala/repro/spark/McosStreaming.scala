@@ -52,9 +52,10 @@ object McosStreaming {
     events.groupByKey(_.vid).flatMapGroupsWithState[FeedState, McosRow](
       OutputMode.Append(), GroupStateTimeout.NoTimeout()) {
       (vid: String, rows: Iterator[VRRow], state: GroupState[FeedState]) =>
-        val st = state.getOption.getOrElse(FeedState(McosGenerator(method, spec), -1))
+        val prior = state.getOption
+        val st = prior.getOrElse(FeedState(McosGenerator(method, spec), -1))
         val lastFid = st.lastFid
-        val out = McosBatch.frames(rows, st.lastFid).flatMap { case (fid, rs) =>
+        val out = McosBatch.frames(rows, prior.map(_.lastFid)).flatMap { case (fid, rs) =>
           st.lastFid = fid
           st.gen.processFrame(fid, ObjSet.from(rs.map(_.oid)))
             .map(r => McosRow(vid, fid, r.objects.toSeq, r.frames))

@@ -3,6 +3,11 @@ package repro.core
 import scala.collection.mutable
 import repro.core.ObjSet.ObjSet
 
+/** One input frame of the structured relation VR, pre-grouped: the set of
+  * object ids detected in frame `fid`.
+  */
+final case class Frame(fid: Int, objects: ObjSet)
+
 /** Reference MCOS computation by exhaustive enumeration — the correctness
   * oracle the incremental generators are differentially tested against.
   *

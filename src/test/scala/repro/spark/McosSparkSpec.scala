@@ -94,6 +94,27 @@ class McosSparkSpec extends SparkSpec {
     } finally query.stop()
   }
 
+  test("a row with a negative fid fails batch, query and streaming jobs instead of vanishing") {
+    import spark.implicits._
+    val rows = streamA.rows :+ streamA.rows.head.copy(fid = -1)
+    // The generator rejects the frame; the job must surface that, not drop it.
+    def failsOnNegativeFid(job: => Any): Unit = {
+      val e = intercept[Exception](job)
+      val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage)
+      assert(messages.exists(m => m != null && m.contains("frame -1 arrived")), e)
+    }
+    val events = spark.createDataset(rows)
+    failsOnNegativeFid(McosBatch.run(events, spec, "MFS").collect())
+    failsOnNegativeFid(McosBatch.runQueries(events, spec, "SSG",
+      CnfQuery.randomQueries(8, seed = 5, maxN = 3)).collect())
+    val enc: Encoder[VRRow] = newProductEncoder[VRRow]
+    val ms = MemoryStream[VRRow](enc, spark)
+    val query = McosStreaming.run(ms.toDS(), spec, "MFS").writeStream.format("memory")
+      .queryName("negative_fid_stream").outputMode("append").start()
+    try failsOnNegativeFid { ms.addData(rows); query.processAllAvailable() }
+    finally query.stop()
+  }
+
   test("a micro-batch of only late rows writes no state, and later rows still match") {
     import spark.implicits._
     val enc: Encoder[VRRow] = newProductEncoder[VRRow]
