@@ -16,7 +16,7 @@ object Table6StatsJob {
       .appName("table6-stats").getOrCreate()
     try {
       val streams = Profiles.all.map(SynthVideo.generate(_))
-      val vr = VideoRelation.df(spark, streams: _*)
+      val vr = VideoRelation.dataset(spark, streams).toDF()
       println("== Table 6 (measured, via Spark SQL) ==")
       VideoRelation.tableSixStats(vr).orderBy("vid").show(10, truncate = false)
       println("== Table 6 (paper) ==")

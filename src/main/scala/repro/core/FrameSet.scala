@@ -1,6 +1,6 @@
 package repro.core
 
-import java.io.{DataInput, DataOutput, ObjectInputStream, ObjectOutputStream}
+import java.io.{DataInput, DataOutput}
 
 /** Mutable sorted frame-id set for one state.
   *
@@ -10,12 +10,12 @@ import java.io.{DataInput, DataOutput, ObjectInputStream, ObjectOutputStream}
   * it is compacted in place if at most half of it is live, and doubled
   * otherwise. Merging (paper's `merge(F_s,F_ps)`) is a sorted-union.
   *
-  * Serialized form: the live frame count, then the live frames.
+  * Written form ([[writeTo]]): the live frame count, then the live frames.
   */
-final class FrameSet extends Serializable {
-  @transient private var buf: Array[Int] = FrameSet.NoFrames
-  @transient private var from = 0
-  @transient private var until = 0
+final class FrameSet {
+  private var buf: Array[Int] = FrameSet.NoFrames
+  private var from = 0
+  private var until = 0
 
   def size: Int = until - from
   def isEmpty: Boolean = until == from
@@ -71,8 +71,6 @@ final class FrameSet extends Serializable {
     b.result()
   }
 
-  def copy(): FrameSet = { val c = new FrameSet; c.mergeFrom(this); c }
-
   override def toString: String = toVector.mkString("[", ",", "]")
 
   /** Make room for `n` more frames at the end: compact in place when at most
@@ -105,9 +103,6 @@ final class FrameSet extends Serializable {
     while (i < n) { buf(i) = in.readInt(); i += 1 }
     from = 0; until = n
   }
-
-  private def writeObject(out: ObjectOutputStream): Unit = writeTo(out)
-  private def readObject(in: ObjectInputStream): Unit = readFrom(in)
 }
 
 object FrameSet {

@@ -70,9 +70,11 @@ trait McosGenerator extends Serializable {
 
   /** Enforce the input contract: `fid` must be newer than every frame so far. */
   protected final def advanceTo(fid: Int): Unit = {
+    if (fid < 0)
+      throw new IllegalArgumentException(s"frame $fid arrived with a negative fid: fids must be non-negative")
     if (fid <= lastFid)
       throw new IllegalArgumentException(
-        s"frame $fid arrived after frame $lastFid: fids must be non-negative and strictly increasing")
+        s"frame $fid arrived after frame $lastFid: fids must be strictly increasing")
     lastFid = fid
   }
 

@@ -49,13 +49,12 @@ object CnfQuery {
   /** The object classes the paper's experiments retain (§6.1). */
   val classes: Vector[String] = Vector("person", "car", "truck", "bus")
 
-  /** Mixed-operator CNF queries (Fig 8 workload). */
-  def randomQueries(n: Int, seed: Long, maxClauses: Int = 3,
-                    maxConds: Int = 3, maxN: Int = 5): Vector[CnfQuery] = {
+  /** Mixed-operator CNF queries (Fig 8 workload), thresholds in [1, maxN]. */
+  def randomQueries(n: Int, seed: Long, maxN: Int = 5): Vector[CnfQuery] = {
     val rnd = new Random(seed)
     Vector.tabulate(n) { qid =>
-      val clauses = Vector.fill(1 + rnd.nextInt(maxClauses)) {
-        Vector.fill(1 + rnd.nextInt(maxConds)) {
+      val clauses = Vector.fill(1 + rnd.nextInt(3)) {
+        Vector.fill(1 + rnd.nextInt(3)) {
           Condition(classes(rnd.nextInt(classes.size)),
                     Op.all(rnd.nextInt(Op.all.size)),
                     1 + rnd.nextInt(maxN))
@@ -65,16 +64,16 @@ object CnfQuery {
     }
   }
 
-  /** ≥-only queries whose smallest threshold is exactly `nMin` (Fig 9
-    * workload: "100 queries containing ≥ conditions only", n_min varied).
+  /** ≥-only queries with thresholds in [nMin, nMin + 2] (Fig 9 workload:
+    * "100 queries containing ≥ conditions only", n_min varied).
     */
-  def geQueries(n: Int, nMin: Int, seed: Long, spread: Int = 2): Vector[CnfQuery] = {
+  def geQueries(n: Int, nMin: Int, seed: Long): Vector[CnfQuery] = {
     val rnd = new Random(seed)
     Vector.tabulate(n) { qid =>
       val clauses = Vector.fill(1 + rnd.nextInt(2)) {
         Vector.fill(1 + rnd.nextInt(2)) {
           Condition(classes(rnd.nextInt(classes.size)), Op.Ge,
-                    nMin + rnd.nextInt(spread + 1))
+                    nMin + rnd.nextInt(3))
         }
       }
       CnfQuery(qid, clauses)

@@ -16,9 +16,6 @@ object VideoRelation {
     spark.createDataset(streams.flatMap(_.rows))
   }
 
-  def df(spark: SparkSession, streams: VideoStream*): DataFrame =
-    dataset(spark, streams).toDF()
-
   /** Table 6 statistics per feed, computed relationally (Spark SQL):
     * an occlusion is a gap in an object's frame sequence, counted with a
     * lag window; columns mirror the paper's table exactly.

@@ -1,6 +1,6 @@
 package repro.core
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.RandomizedSpec
 
@@ -68,14 +68,6 @@ class FrameSetSpec extends AnyFunSuite with RandomizedSpec {
     assert(a.toVector === Vector(1, 2, 5, 6))
   }
 
-  test("copy is independent of the original") {
-    val a = new FrameSet; Seq(1, 2).foreach(a.append)
-    val c = a.copy()
-    c.append(9); a.expire(2)
-    assert(a.toVector === Vector(2))
-    assert(c.toVector === Vector(1, 2, 9))
-  }
-
   test("randomized: mergeFrom ≡ sorted distinct union") {
     forSeeds() { rnd =>
       val xs = Vector.fill(rnd.nextInt(30))(rnd.nextInt(100)).distinct.sorted
@@ -137,17 +129,18 @@ class FrameSetSpec extends AnyFunSuite with RandomizedSpec {
 
   private def serialize(fs: FrameSet): Array[Byte] = {
     val bos = new ByteArrayOutputStream()
-    val out = new ObjectOutputStream(bos)
-    out.writeObject(fs); out.close()
+    val out = new DataOutputStream(bos)
+    fs.writeTo(out); out.close()
     bos.toByteArray
   }
 
-  test("Java round trip after expiry keeps exactly the live frames") {
+  test("writeTo/readFrom round trip after expiry keeps exactly the live frames") {
     val fs = new FrameSet
     (1 to 1000).foreach(fs.append)
     fs.expire(997)
     val bytes = serialize(fs)
-    val back = new ObjectInputStream(new ByteArrayInputStream(bytes)).readObject().asInstanceOf[FrameSet]
+    val back = new FrameSet
+    back.readFrom(new DataInputStream(new ByteArrayInputStream(bytes)))
     assert(back.toVector === Vector(997, 998, 999, 1000))
     val fresh = new FrameSet; (997 to 1000).foreach(fresh.append)
     assert(bytes.toSeq === serialize(fresh).toSeq, "expired frames must not be written")

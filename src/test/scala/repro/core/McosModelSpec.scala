@@ -69,7 +69,8 @@ class McosModelSpec extends AnyFunSuite {
   Seq("NAIVE", "MFS", "SSG").foreach { m =>
     test(s"$m rejects a fid that does not follow the previous one") {
       val g = McosGenerator(m, WindowSpec(4, 2))
-      assertThrows[IllegalArgumentException](g.processFrame(-1, ObjSet.of(1)))
+      val negative = intercept[IllegalArgumentException](g.processFrame(-1, ObjSet.of(1)))
+      assert(negative.getMessage.startsWith("frame -1 arrived with a negative fid"), negative.getMessage)
       g.processFrame(3, ObjSet.of(1, 2))
       assertThrows[IllegalArgumentException](g.processFrame(3, ObjSet.of(1)))
       assertThrows[IllegalArgumentException](g.processFrame(2, ObjSet.of(1)))

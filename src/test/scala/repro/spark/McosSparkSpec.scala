@@ -5,17 +5,20 @@ import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
 import org.apache.hadoop.fs.FileUtil
 import org.apache.spark.sql.{Dataset, Encoder}
+import org.apache.spark.sql.execution.MapGroupsExec
+import org.apache.spark.sql.execution.streaming.operators.stateful.flatmapgroupswithstate.FlatMapGroupsWithStateExec
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import repro.SparkSpec
 import repro.core.{McosGenerator, WindowSpec}
 import repro.core.ObjSet
-import repro.query.CnfQuery
+import repro.query.{CnfQuery, QueryPipeline}
 import repro.video.{Profiles, SynthVideo, VideoProfile, VRRow}
 
-/** The Spark dataflow must be a faithful host for the sequential algorithms:
-  * batch `flatMapGroups` ≡ the in-process generator, streaming
-  * `flatMapGroupsWithState` ≡ batch across arbitrary micro-batch splits, and
-  * multiple feeds stay isolated.
+/** The Spark dataflow must be a faithful host for the sequential algorithms.
+  * Batch and streaming share one per-feed `flatMapGroupsWithState` step, so:
+  * batch ≡ the in-process generator or query pipeline, streaming ≡ batch
+  * across arbitrary micro-batch splits (MCOS rows and query matches alike),
+  * batch plans no state store, and multiple feeds stay isolated.
   */
 class McosSparkSpec extends SparkSpec {
 
@@ -39,6 +42,19 @@ class McosSparkSpec extends SparkSpec {
   }
 
   private def normalize(rows: Seq[McosRow]): Set[McosRow] =
+    rows.map(r => r.copy(objects = r.objects.sorted, frames = r.frames.sorted)).toSet
+
+  /** Expected matches via the in-process pipeline, one per feed. */
+  private def localMatches(streams: Seq[repro.video.VideoStream], method: String,
+                           queries: Vector[CnfQuery], prune: Boolean): Set[MatchRow] =
+    streams.flatMap { s =>
+      val pipe = new QueryPipeline(queries, spec, method, prune)
+      s.frames.zipWithIndex.collect { case (objs, fid) if objs.nonEmpty =>
+        pipe.processFrame(fid, objs).map(m => MatchRow(s.name, fid, m.qid, m.objects.toSeq, m.frames))
+      }.flatten
+    }.toSet
+
+  private def normalizeMatches(rows: Seq[MatchRow]): Set[MatchRow] =
     rows.map(r => r.copy(objects = r.objects.sorted, frames = r.frames.sorted)).toSet
 
   Seq("NAIVE", "MFS", "SSG").foreach { method =>
@@ -221,6 +237,44 @@ class McosSparkSpec extends SparkSpec {
       }.flatten
     }.toSet
     assert(got.map(r => r.copy(objects = r.objects.sorted, frames = r.frames.sorted)).toSet === want)
+  }
+
+  test("streamed query evaluation ≡ batch ≡ in-process pipeline at two micro-batch splits, with id reuse") {
+    import spark.implicits._
+    val enc: Encoder[VRRow] = newProductEncoder[VRRow]
+    // p_o = 1: ids return to a later track, possibly of another class.
+    val feeds = Seq(SynthVideo.generate(profA, idReuse = 1), SynthVideo.generate(profB, idReuse = 1))
+    val events = VideoRelation.dataset(spark, feeds)
+    val ge = CnfQuery.geQueries(8, nMin = 2, seed = 3)
+    val mixed = CnfQuery.randomQueries(8, seed = 5, maxN = 3)
+    Seq(("MFS", ge, true), ("SSG", ge, true), ("MFS", mixed, false)).foreach { case (method, queries, prune) =>
+      val want = localMatches(feeds, method, queries, prune)
+      assert(want.nonEmpty)
+      assert(normalizeMatches(McosBatch.runQueries(events, spec, method, queries, prune).collect().toSeq) === want)
+      Seq(7, 40).foreach { step =>
+        val name = s"matches_${method}_${prune}_$step"
+        val ms = MemoryStream[VRRow](enc, spark)
+        val query = McosBatch.runQueries(ms.toDS(), spec, method, queries, prune).writeStream
+          .format("memory").queryName(name).outputMode("append").start()
+        try {
+          feeds.flatMap(_.rows).groupBy(_.fid / step).toSeq.sortBy(_._1).foreach { case (_, rows) =>
+            ms.addData(rows); query.processAllAvailable()
+          }
+          val got = spark.table(name).as[MatchRow].collect().toSeq
+          assert(normalizeMatches(got) === want, s"$method pruned=$prune, $step frames per micro-batch")
+        } finally query.stop()
+      }
+    }
+  }
+
+  test("on a batch Dataset the per-feed step plans MapGroups and no state store") {
+    val events = VideoRelation.dataset(spark, Seq(streamA))
+    Seq(McosBatch.run(events, spec, "MFS"),
+        McosBatch.runQueries(events, spec, "SSG", CnfQuery.randomQueries(8, seed = 5))).foreach { ds =>
+      val plan = ds.queryExecution.sparkPlan
+      assert(plan.collect { case p: MapGroupsExec => p }.size === 1, plan)
+      assert(plan.collect { case p: FlatMapGroupsWithStateExec => p }.isEmpty, plan)
+    }
   }
 
   test("feeds are isolated: per-feed results never mix object ids across vids") {

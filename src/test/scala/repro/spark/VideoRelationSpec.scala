@@ -13,7 +13,7 @@ class VideoRelationSpec extends SparkSpec {
     "T", frames = 150, objects = 40, framesPerObj = 25, occPerObj = 2.5,
     meanGap = 4.0, classWeights = Profiles.V1.classWeights, seed = 7L)
   private lazy val stream = SynthVideo.generate(smallProfile)
-  private lazy val vr = VideoRelation.df(spark, stream)
+  private lazy val vr = VideoRelation.dataset(spark, Seq(stream)).toDF()
 
   test("class counts per frame match DuckDB") {
     Oracle.assertEquivalent(
