@@ -104,7 +104,7 @@ object McosGenerator {
     */
   def apply(method: String, spec: WindowSpec,
             prune: Option[ObjSet => Boolean] = None): McosGenerator =
-    method.toUpperCase match {
+    method.toUpperCase(java.util.Locale.ROOT) match {
       case "NAIVE" => new NaiveGenerator(spec, prune)
       case "MFS"   => new MfsGenerator(spec, prune)
       case "SSG"   => new SsgGenerator(spec, prune)

@@ -21,7 +21,7 @@ import scala.collection.mutable
   * least one satisfied posting — counted per query exactly as the counting
   * variant of [24].
   */
-final class CnfEvalE private (queries: Vector[CnfQuery]) extends Serializable {
+final class CnfEvalE private (queries: Vector[CnfQuery]) {
 
   private type Posting = (Int, Int) // (qid, disjId)
 

@@ -1,8 +1,7 @@
 package repro.query
 
 import scala.collection.mutable
-import repro.core.{McosGenerator, McosResult, WindowSpec}
-import repro.core.ObjSet
+import repro.core.{McosGenerator, McosResult, ObjSet, WindowSpec}
 import repro.core.ObjSet.ObjSet
 
 /** One query match: at frame `fid`, query `qid` is TRUE on the MCOS `objects`
@@ -20,30 +19,29 @@ final case class QueryMatch(fid: Int, qid: Int, objects: ObjSet, frames: Vector[
   *  - `MFS_O` / `SSG_O` — `pruneByEval = true`: additionally, when the query
   *    set is ≥-only (Proposition 1), a freshly generated state whose MCOS
   *    fails every query is terminated — never materialized — shrinking the
-  *    state space itself. Verdicts are memoized per object set.
+  *    state space itself. Every new state is tested afresh: a tracker may
+  *    reuse an id for an object of another class, so a verdict kept per
+  *    object set could go stale.
   *
   * Objects whose class no query mentions are dropped on entry (§3: "objects
-  * with class not requested by any query may be dropped from VR").
+  * with class not requested by any query may be dropped from VR"). The
+  * CNFEvalE index and that class filter are derived from `queries`, kept out
+  * of the serialized state, and rebuilt on first use after a restore.
   */
 final class QueryPipeline(val queries: Vector[CnfQuery],
                           val spec: WindowSpec,
                           method: String,
                           pruneByEval: Boolean = false) extends Serializable {
 
-  private val index = CnfEvalE(queries)
-  private val relevant: Set[String] = queries.flatMap(_.labels).toSet
+  @transient private lazy val index = CnfEvalE(queries)
+  @transient private lazy val relevant: Set[String] = queries.flatMap(_.labels).toSet
   private val classOf = mutable.HashMap.empty[Int, String]
-  private val verdictCache = mutable.HashMap.empty[ObjSet, Boolean]
 
   /** ≥-only query sets admit creation-time termination (Proposition 1). */
   val pruningActive: Boolean = pruneByEval && queries.nonEmpty && queries.forall(_.geOnly)
 
-  private val generator: McosGenerator = {
-    val terminate: Option[ObjSet => Boolean] =
-      if (pruningActive) Some(ids => !verdictCache.getOrElseUpdate(ids, index.anyMatch(aggregates(ids))))
-      else None
-    McosGenerator(method, spec, terminate)
-  }
+  private val generator: McosGenerator =
+    McosGenerator(method, spec, Option.when(pruningActive)(ids => !index.anyMatch(aggregates(ids))))
 
   /** Class-count aggregates of one MCOS (step 2a of §5.2). */
   def aggregates(ids: ObjSet): Map[String, Int] = {

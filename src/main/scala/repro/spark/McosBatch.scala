@@ -52,9 +52,9 @@ object McosBatch {
     }
   }
 
-  /** Full query evaluation across all feeds in `events`. On a stream, a
-    * feed's [[QueryPipeline]] state grows with the feed's age: its class map
-    * and, pruned, its verdict cache keep every object seen (ROADMAP item 1).
+  /** Full query evaluation across all feeds in `events`. On a stream, only
+    * the class map of a feed's [[QueryPipeline]] grows with the feed's age:
+    * it keeps every object seen (ROADMAP item 1).
     */
   def runQueries(events: Dataset[VRRow], spec: WindowSpec, method: String,
                  queries: Vector[CnfQuery], pruneByEval: Boolean = false): Dataset[MatchRow] = {

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.Locale
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.ObjSet.ObjSet
 
@@ -27,9 +28,16 @@ class McosModelSpec extends AnyFunSuite {
 
   test("factory dispatches by method name, case-insensitively") {
     val spec = WindowSpec(4, 2)
-    assert(McosGenerator("naive", spec).isInstanceOf[NaiveGenerator])
-    assert(McosGenerator("Mfs", spec).isInstanceOf[MfsGenerator])
-    assert(McosGenerator("SSG", spec).isInstanceOf[SsgGenerator])
+    def dispatches(): Unit = {
+      assert(McosGenerator("naive", spec).isInstanceOf[NaiveGenerator])
+      assert(McosGenerator("Mfs", spec).isInstanceOf[MfsGenerator])
+      assert(McosGenerator("SSG", spec).isInstanceOf[SsgGenerator])
+    }
+    dispatches()
+    // Under a Turkish default locale "naive".toUpperCase is "NAİVE".
+    val default = Locale.getDefault
+    Locale.setDefault(Locale.forLanguageTag("tr"))
+    try dispatches() finally Locale.setDefault(default)
   }
 
   test("factory rejects unknown methods") {

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.RandomizedSpec
 import repro.core.{McosGenerator, WindowSpec}
+import repro.video.{Profiles, SynthVideo}
 
 /** End-to-end §5 pipeline tests: variants must agree with each other and the
   * §5.3 termination pruning must not change any query answer (Proposition 1).
@@ -52,6 +53,29 @@ class QueryPipelineSpec extends AnyFunSuite with RandomizedSpec {
       assert(run(mfsO, frames) === base)
       assert(run(ssgO, frames) === base)
     }
+  }
+
+  test("§5.3 pruning keeps MFS_E's answers frame by frame over the whole D2 feed with id reuse") {
+    // The ≥-only set of the benchmark's Proposition 1 check (n_min = 2, seed
+    // 101) at the paper's w and d. Under p_o > 0 a reused id returns as a new
+    // track, so an object set's class counts change over the feed.
+    val spec = WindowSpec(300, 240)
+    val queries = CnfQuery.geQueries(100, nMin = 2, seed = 101)
+    val mismatched = Seq(1, 2).flatMap { po =>
+      val frames = SynthVideo.generate(Profiles.D2, idReuse = po).frames
+        .zipWithIndex.filter(_._1.nonEmpty)
+      def answers(method: String, prune: Boolean): Vector[Set[QueryMatch]] = {
+        val p = new QueryPipeline(queries, spec, method, prune)
+        frames.map { case (objs, fid) => p.processFrame(fid, objs).toSet }
+      }
+      val base = answers("MFS", prune = false)
+      assert(base.exists(_.nonEmpty))
+      Seq("MFS", "SSG").map { method =>
+        val pruned = answers(method, prune = true)
+        s"${method}_O at p_o = $po" -> frames.indices.count(i => pruned(i) != base(i))
+      }
+    }
+    assert(mismatched.filter(_._2 > 0) === Nil, "(variant, frames whose answers differ from MFS_E)")
   }
 
   test("pruning stays inert when queries are not ≥-only") {

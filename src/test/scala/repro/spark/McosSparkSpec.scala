@@ -18,7 +18,8 @@ import repro.video.{Profiles, SynthVideo, VideoProfile, VRRow}
   * Batch and streaming share one per-feed `flatMapGroupsWithState` step, so:
   * batch ≡ the in-process generator or query pipeline, streaming ≡ batch
   * across arbitrary micro-batch splits (MCOS rows and query matches alike),
-  * batch plans no state store, and multiple feeds stay isolated.
+  * a stream restarted from its checkpoint resumes every feed's state, batch
+  * plans no state store, and multiple feeds stay isolated.
   */
 class McosSparkSpec extends SparkSpec {
 
@@ -153,33 +154,52 @@ class McosSparkSpec extends SparkSpec {
     } finally query.stop()
   }
 
+  /** Stream `rows` through `job` in micro-batches of 20 frames, stopping
+    * after three and restarting from the checkpoint; returns every row that
+    * the run before and the run after the restart emitted.
+    */
+  private def restarted[O](rows: Seq[VRRow])(job: Dataset[VRRow] => Dataset[O]): Seq[O] = {
+    import spark.implicits._
+    val enc: Encoder[VRRow] = newProductEncoder[VRRow]
+    val ms = MemoryStream[VRRow](enc, spark)
+    val dir = Files.createTempDirectory("mcos-restart")
+    val emitted = new ConcurrentLinkedQueue[O]()
+    val batchIds = new ConcurrentLinkedQueue[Long]()
+    val sink: (Dataset[O], Long) => Unit = { (batch, id) =>
+      batch.collect().foreach(emitted.add)
+      batchIds.add(id)
+    }
+    def start() = job(ms.toDS()).writeStream
+      .option("checkpointLocation", dir.toString).foreachBatch(sink).start()
+    val batches = rows.groupBy(_.fid / 20).toSeq.sortBy(_._1).map(_._2)
+    try {
+      // Stop after three micro-batches: the windows (w=30) then hold
+      // states that only the second query's restored state can extend.
+      Seq(batches.take(3), batches.drop(3)).foreach { part =>
+        val query = start()
+        try part.foreach { rows => ms.addData(rows); query.processAllAvailable() }
+        finally query.stop()
+      }
+      assert(batchIds.asScala.toSeq === batches.indices.map(_.toLong))
+      emitted.asScala.toSeq
+    } finally FileUtil.fullyDelete(dir.toFile)
+  }
+
   Seq("MFS", "SSG").foreach { method =>
     test(s"streaming $method restarted from its checkpoint ≡ in-process generator") {
-      import spark.implicits._
-      val enc: Encoder[VRRow] = newProductEncoder[VRRow]
-      val ms = MemoryStream[VRRow](enc, spark)
-      val dir = Files.createTempDirectory("mcos-restart")
-      val emitted = new ConcurrentLinkedQueue[McosRow]()
-      val batchIds = new ConcurrentLinkedQueue[Long]()
-      val sink: (Dataset[McosRow], Long) => Unit = { (batch, id) =>
-        batch.collect().foreach(emitted.add)
-        batchIds.add(id)
-      }
-      def start() = McosStreaming.run(ms.toDS(), spec, method).writeStream
-        .option("checkpointLocation", dir.toString).foreachBatch(sink).start()
-      val batches = streamA.rows.groupBy(_.fid / 20).toSeq.sortBy(_._1).map(_._2)
-      try {
-        // Stop after three micro-batches: the windows (w=30) then hold
-        // states that only the second query's restored state can extend.
-        Seq(batches.take(3), batches.drop(3)).foreach { part =>
-          val query = start()
-          try part.foreach { rows => ms.addData(rows); query.processAllAvailable() }
-          finally query.stop()
-        }
-        assert(batchIds.asScala.toSeq === batches.indices.map(_.toLong))
-        assert(normalize(emitted.asScala.toSeq) === localRows(streamA, method))
-      } finally FileUtil.fullyDelete(dir.toFile)
+      val got = restarted(streamA.rows)(McosStreaming.run(_, spec, method))
+      assert(normalize(got) === localRows(streamA, method))
     }
+  }
+
+  test("streamed SSG_O query evaluation restarted from its checkpoint ≡ in-process pipeline, with id reuse") {
+    // The restored pipelines rebuild their CNFEvalE index from the queries.
+    val feeds = Seq(SynthVideo.generate(profA, idReuse = 1), SynthVideo.generate(profB, idReuse = 1))
+    val ge = CnfQuery.geQueries(8, nMin = 2, seed = 3)
+    val want = localMatches(feeds, "SSG", ge, prune = true)
+    assert(want.nonEmpty)
+    val got = restarted(feeds.flatMap(_.rows))(McosBatch.runQueries(_, spec, "SSG", ge, pruneByEval = true))
+    assert(normalizeMatches(got) === want)
   }
 
   test("streaming SSG keeps graph state alive across many tiny batches") {
@@ -224,21 +244,6 @@ class McosSparkSpec extends SparkSpec {
     } finally query.stop()
   }
 
-  test("query evaluation on Spark matches the in-process pipeline") {
-    import spark.implicits._
-    val queries = CnfQuery.randomQueries(8, seed = 5, maxN = 3)
-    val events = VideoRelation.dataset(spark, Seq(streamA, streamB))
-    val got = McosBatch.runQueries(events, spec, "SSG", queries).collect().toSeq
-    val want = Seq(streamA, streamB).flatMap { s =>
-      val pipe = new repro.query.QueryPipeline(queries, spec, "SSG")
-      s.frames.zipWithIndex.collect { case (objs, fid) if objs.nonEmpty =>
-        pipe.processFrame(fid, objs)
-          .map(m => MatchRow(s.name, fid, m.qid, m.objects.toSeq, m.frames))
-      }.flatten
-    }.toSet
-    assert(got.map(r => r.copy(objects = r.objects.sorted, frames = r.frames.sorted)).toSet === want)
-  }
-
   test("streamed query evaluation ≡ batch ≡ in-process pipeline at two micro-batch splits, with id reuse") {
     import spark.implicits._
     val enc: Encoder[VRRow] = newProductEncoder[VRRow]
@@ -247,7 +252,8 @@ class McosSparkSpec extends SparkSpec {
     val events = VideoRelation.dataset(spark, feeds)
     val ge = CnfQuery.geQueries(8, nMin = 2, seed = 3)
     val mixed = CnfQuery.randomQueries(8, seed = 5, maxN = 3)
-    Seq(("MFS", ge, true), ("SSG", ge, true), ("MFS", mixed, false)).foreach { case (method, queries, prune) =>
+    val cases = Seq(("MFS", ge, true), ("SSG", ge, true), ("MFS", mixed, false), ("SSG", mixed, false))
+    cases.foreach { case (method, queries, prune) =>
       val want = localMatches(feeds, method, queries, prune)
       assert(want.nonEmpty)
       assert(normalizeMatches(McosBatch.runQueries(events, spec, method, queries, prune).collect().toSeq) === want)
