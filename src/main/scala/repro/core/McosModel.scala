@@ -13,8 +13,14 @@ import scala.collection.immutable.BitSet
 object ObjSet {
   type ObjSet = BitSet
   val empty: ObjSet = BitSet.empty
-  def of(ids: Int*): ObjSet = BitSet(ids: _*)
-  def from(ids: Iterable[Int]): ObjSet = BitSet.fromSpecific(ids)
+  def of(ids: Int*): ObjSet = from(ids)
+
+  /** @throws IllegalArgumentException naming the first negative id */
+  def from(ids: Iterable[Int]): ObjSet = {
+    for (id <- ids if id < 0)
+      throw new IllegalArgumentException(s"object id $id is negative: ids must be non-negative")
+    BitSet.fromSpecific(ids)
+  }
 
   /** Write `s` as its bitmask: the word count, then each 64-bit word. */
   private[core] def write(out: DataOutput, s: ObjSet): Unit = {

@@ -90,11 +90,15 @@ class McosModelSpec extends AnyFunSuite {
   }
 
   test("a negative object id fails loudly") {
-    assertThrows[IllegalArgumentException](ObjSet.of(3, -1))
-    assertThrows[IllegalArgumentException](ObjSet.from(Seq(-7)))
+    def rejects(id: Int)(build: => Any): Unit = {
+      val e = intercept[IllegalArgumentException](build)
+      assert(e.getMessage === s"object id $id is negative: ids must be non-negative")
+    }
+    rejects(-1)(ObjSet.of(3, -1))
+    rejects(-7)(ObjSet.from(Seq(-7)))
     import repro.query.{CnfQuery, Condition, Op, QueryPipeline}
     val carQuery = CnfQuery(0, Vector(Vector(Condition("car", Op.Ge, 1))))
     val pipe = new QueryPipeline(Vector(carQuery), WindowSpec(4, 2), "MFS")
-    assertThrows[IllegalArgumentException](pipe.processFrame(0, Seq(-2 -> "car")))
+    rejects(-2)(pipe.processFrame(0, Seq(-2 -> "car")))
   }
 }

@@ -115,15 +115,19 @@ class McosSparkSpec extends SparkSpec {
     import spark.implicits._
     val rows = streamA.rows :+ streamA.rows.head.copy(fid = -1)
     // The generator rejects the frame; the job must surface that, not drop it.
-    def failsOnNegativeFid(job: => Any): Unit = {
+    def failsWith(message: String)(job: => Any): Unit = {
       val e = intercept[Exception](job)
       val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage)
-      assert(messages.exists(m => m != null && m.contains("frame -1 arrived")), e)
+      assert(messages.exists(m => m != null && m.contains(message)), e)
     }
+    def failsOnNegativeFid(job: => Any): Unit = failsWith("frame -1 arrived")(job)
     val events = spark.createDataset(rows)
     failsOnNegativeFid(McosBatch.run(events, spec, "MFS").collect())
     failsOnNegativeFid(McosBatch.runQueries(events, spec, "SSG",
       CnfQuery.randomQueries(8, seed = 5, maxN = 3)).collect())
+    // A negative object id fails the job with a message that names it.
+    val badOid = spark.createDataset(streamA.rows :+ streamA.rows.last.copy(oid = -7))
+    failsWith("object id -7 is negative")(McosBatch.run(badOid, spec, "MFS").collect())
     val enc: Encoder[VRRow] = newProductEncoder[VRRow]
     val ms = MemoryStream[VRRow](enc, spark)
     val query = McosStreaming.run(ms.toDS(), spec, "MFS").writeStream.format("memory")

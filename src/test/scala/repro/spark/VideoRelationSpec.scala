@@ -3,9 +3,9 @@ package repro.spark
 import repro.{Oracle, SparkSpec}
 import repro.video.{Profiles, SynthVideo, VideoProfile}
 
-/** Relational layer correctness: every SQL-expressible primitive is checked
-  * against DuckDB via the provided oracle, and Table 6 statistics computed
-  * relationally must match the local (Scala) computation.
+/** Relational layer correctness: every SQL-expressible primitive of the
+  * test-side [[RelationalQueries]] is checked against DuckDB via the provided
+  * oracle, and the VR dataset holds each row of the feed once.
   */
 class VideoRelationSpec extends SparkSpec {
 
@@ -60,43 +60,6 @@ class VideoRelationSpec extends SparkSpec {
       RelationalQueries.frameCardinalities(vr),
       "SELECT vid, fid, COUNT(*) AS n_objects FROM vr GROUP BY vid, fid",
       "vr" -> vr)
-  }
-
-  test("Table 6 statistics via Spark SQL match DuckDB window functions") {
-    Oracle.assertEquivalent(
-      VideoRelation.tableSixStats(vr),
-      """WITH seq AS (
-           SELECT vid, CAST(oid AS INT) AS oid, CAST(fid AS INT) AS fid,
-                  LAG(CAST(fid AS INT)) OVER (PARTITION BY vid, oid ORDER BY CAST(fid AS INT)) AS prev_fid
-           FROM vr),
-         per_obj AS (
-           SELECT vid, oid, COUNT(*) AS appearances,
-                  SUM(CASE WHEN fid > prev_fid + 1 THEN 1 ELSE 0 END) AS occl
-           FROM seq GROUP BY vid, oid),
-         per_feed AS (
-           SELECT vid, COUNT(*) AS objects, SUM(appearances) AS ta, SUM(occl) AS toc
-           FROM per_obj GROUP BY vid),
-         fr AS (SELECT vid, MAX(CAST(fid AS INT)) + 1 AS frames FROM vr GROUP BY vid)
-         SELECT fr.vid AS vid, fr.frames AS frames, per_feed.objects AS objects,
-                ROUND(CAST(ta AS DOUBLE) / frames, 2) AS obj_per_frame,
-                ROUND(CAST(toc AS DOUBLE) / objects, 2) AS occ_per_obj,
-                ROUND(CAST(ta AS DOUBLE) / objects, 2) AS frames_per_obj
-         FROM fr JOIN per_feed ON fr.vid = per_feed.vid""",
-      "vr" -> vr)
-  }
-
-  test("Table 6 statistics via Spark SQL match the local stats computation") {
-    val row = VideoRelation.tableSixStats(vr).collect().head
-    val local = stream.stats
-    // Relationally, a feed's length is max(fid)+1 — trailing empty frames
-    // are invisible to VR — so compare denominators accordingly.
-    val lastFid = stream.rows.map(_.fid).max
-    assert(row.getAs[Long]("frames") === (lastFid + 1).toLong)
-    assert(row.getAs[Long]("objects") === local.objects.toLong)
-    val objPerFrame = local.objPerFrame * local.frames / (lastFid + 1)
-    assert(math.abs(row.getAs[Double]("obj_per_frame") - objPerFrame) < 0.01)
-    assert(math.abs(row.getAs[Double]("occ_per_obj") - local.occPerObj) < 0.01)
-    assert(math.abs(row.getAs[Double]("frames_per_obj") - local.framesPerObj) < 0.01)
   }
 
   test("the VR dataset carries one row per (vid, fid, oid)") {
