@@ -5,34 +5,34 @@ import scala.collection.mutable
 import repro.core.ObjSet.ObjSet
 
 /** The Strict State Graph approach of §4.3: the maintenance core with its
-  * own visiting order, a graph to keep, and a carried-over result set.
+  * own visiting order and a graph to keep.
   *
   *  - Visiting: states form a DAG by strict containment (Property 1: an edge
   *    `s → s'` means `ID_{s'} ⊂ ID_s`). State Traversal (Algorithm 1) walks
-  *    it depth first from the roots and skips a subtree once a state's
-  *    intersection is empty; an invalid state met on the way is killed
-  *    (Theorem 4) and walked through.
+  *    it depth first from the roots, the states without a parent, and skips a
+  *    subtree once a state's intersection is empty; an invalid state met on
+  *    the way is killed (Theorem 4) and walked through.
   *  - Edges: created states are attached under their sources by the §4.3.4
   *    surgery that keeps Property 2 (no child contained in a sibling); a new
   *    principal state is connected by CNPS (Algorithm 2); killed states are
   *    detached at frame end and their children re-homed.
-  *  - Results (§4.3.7): the satisfied states the frame touched, then the
-  *    still-satisfied carry-over the traversal may have skipped. Every `w`
-  *    frames a sweep kills invalid states the traversal never reached.
+  *  - Results (§4.3.7): the traversal may skip a state that holds `d`
+  *    frames, so one pass over the states in map order kills each state with
+  *    at least `d` stored frames whose key frames have all left the window and
+  *    expires the frames of the others. Every `w` frames the pass covers every
+  *    state, so invalid states the traversal never reaches die too. The
+  *    core's rule then emits the states with at least `d` frames, in map order.
   *
   * Serialized form: the core's per-state records, then per state its
-  * principal mark, then each state's children and parents, the roots and the
-  * result set as lists of state positions. Nothing recurses, so graph depth
-  * cannot overflow the stack, and a restored graph iterates in the original
-  * order.
+  * principal mark, then each state's children and parents as lists of state
+  * positions. Nothing recurses, so graph depth cannot overflow the stack, and
+  * a restored graph iterates in the original order.
   */
 final class SsgGenerator(val spec: WindowSpec,
                          terminated: Option[ObjSet => Boolean] = None)
     extends McosCore[SsgGenerator.Node](terminated) {
   import SsgGenerator.Node
 
-  @transient private var roots = mutable.LinkedHashSet.empty[Node]
-  @transient private var resultSet = mutable.LinkedHashSet.empty[Node]
   // Per frame: intersections the traversal got from principal states, and
   // the states it killed (their edges stay in place until buryDead).
   @transient private var cnpsCandidates = mutable.ArrayBuffer.empty[ObjSet]
@@ -56,7 +56,7 @@ final class SsgGenerator(val spec: WindowSpec,
     cnpsCandidates = mutable.ArrayBuffer.empty
     deadList = mutable.ArrayBuffer.empty
     val stack = new java.util.ArrayDeque[Node]
-    roots.foreach(stack.push)
+    states.valuesIterator.filter(_.parents.isEmpty).foreach(stack.push)
     while (!stack.isEmpty) {
       val node = stack.pop()
       if (node.lastVisit != fid && node.alive) {
@@ -80,21 +80,16 @@ final class SsgGenerator(val spec: WindowSpec,
   }
 
   /** The frame's graph upkeep (attach created states, register the principal
-    * occurrence, CNPS, bury the killed states), then its Result State Set.
+    * occurrence, CNPS), the kill-or-expire pass, burying the killed states,
+    * then the core's Result State Set.
     */
   override protected def results(fid: Int, start: Int, objects: ObjSet,
                                  contribs: mutable.LinkedHashMap[ObjSet, Contrib[Node]]): Vector[McosResult] = {
     if (objects.nonEmpty) {
       // Attach the created states in creation order. The apply step reads no
       // edges, so this makes the edges that attaching each state as it was
-      // created would. A state that could not be attached anywhere (no
-      // sources, or only dead relatives mid-frame) must be a traversal root.
-      contribs.valuesIterator.foreach { c =>
-        if (c.created) {
-          c.sources.foreach(src => addChild(src, c.state))
-          if (c.state.parents.isEmpty) roots += c.state
-        }
-      }
+      // created would.
+      contribs.valuesIterator.foreach(c => if (c.created) c.sources.foreach(addChild(_, c.state)))
       // Register the principal occurrence; connect a brand-new principal
       // state to the graph per CNPS.
       val cp = contribs(objects)
@@ -104,53 +99,28 @@ final class SsgGenerator(val spec: WindowSpec,
       }
     }
 
-    val d = spec.d
-    val newSR = mutable.LinkedHashSet.empty[Node]
-    contribs.valuesIterator.foreach { c =>
-      val n = c.state
-      if (n != null && n.alive && n.frames.size >= d) newSR += n
+    // The traversal may have skipped a state that stores `d` frames: kill or
+    // expire it before the core's rule counts them. Every `w` frames cover
+    // every state, so invalid states the traversal never reaches die too.
+    // (Copied first: kill removes from `states`.)
+    val sweep = fid % spec.w == 0
+    states.valuesIterator.filter(n => sweep || n.frames.size >= spec.d).toArray.foreach { n =>
+      if (n.maxMark < start) kill(n) else n.frames.expire(start)
     }
-    resultSet.foreach { n =>
-      if (n.alive && n.lastVisit != fid) {
-        // Legitimately skipped by traversal: expire lazily here.
-        n.lastVisit = fid
-        if (n.maxMark < start) kill(n) else n.frames.expire(start)
-      }
-      if (n.alive && n.frames.size >= d) newSR += n
-    }
-    resultSet = newSR
-    val out = resultSet.iterator.map(n => McosResult(fid, n.ids, n.frames.toVector)).toVector
-
-    // Amortized sweep: traversal prunes what it visits, but states that never
-    // intersect later frames would otherwise linger invalid forever.
-    if (fid % spec.w == 0) {
-      states.values.toArray.foreach { n =>
-        if (n.alive && n.maxMark < start) kill(n)
-      }
-    }
-
-    buryDead(deadList)
-    out
+    buryDead()
+    super.results(fid, start, objects, contribs)
   }
 
   /** §4.3.4 edge maintenance on deletion, deferred to frame end: detach every
-    * flagged state and re-home its children under its surviving parents (or
-    * promote them to roots).
+    * flagged state and re-home its children under its surviving parents (a
+    * child left without parents becomes a root).
     */
-  private def buryDead(deadList: mutable.ArrayBuffer[Node]): Unit = {
-    if (deadList.isEmpty) return
-    deadList.foreach { d =>
-      roots -= d
-      resultSet -= d
-      d.parents.foreach(p => p.children -= d)
-    }
+  private def buryDead(): Unit = {
+    deadList.foreach(d => d.parents.foreach(p => p.children -= d))
     deadList.foreach { d =>
       d.children.foreach { c =>
         c.parents -= d
-        if (c.alive) {
-          d.parents.foreach(p => if (p.alive) addChild(p, c))
-          if (c.parents.isEmpty) roots += c
-        }
+        if (c.alive) d.parents.foreach(p => if (p.alive) addChild(p, c))
       }
       d.parents.clear()
       d.children.clear()
@@ -174,11 +144,9 @@ final class SsgGenerator(val spec: WindowSpec,
           parent.children -= ch
           ch.parents -= parent
           addChild(child, ch)
-          if (ch.parents.isEmpty) roots += ch
         }
         parent.children += child
         child.parents += parent
-        roots -= child
     }
   }
 
@@ -205,8 +173,9 @@ final class SsgGenerator(val spec: WindowSpec,
   private def collectReachable(n: Node, acc: mutable.HashSet[Node]): Unit =
     if (acc.add(n)) n.children.foreach(collectReachable(_, acc))
 
-  // Between frames every node on an edge, root or result is in `states` and
-  // alive, and the next fid is newer than any last visit: both take defaults.
+  // Between frames every node on an edge is in `states` and alive, and the
+  // next fid is newer than any last visit: both take defaults. The roots are
+  // the restored states without parents, in the original order.
   private def writeObject(out: ObjectOutputStream): Unit = {
     out.defaultWriteObject()
     val nodes = states.valuesIterator.toArray
@@ -221,8 +190,6 @@ final class SsgGenerator(val spec: WindowSpec,
     }
     nodes.foreach(n => writeNodes(n.children))
     nodes.foreach(n => writeNodes(n.parents))
-    writeNodes(roots)
-    writeNodes(resultSet)
   }
 
   private def readObject(in: ObjectInputStream): Unit = {
@@ -233,10 +200,6 @@ final class SsgGenerator(val spec: WindowSpec,
       (0 until in.readInt()).foreach(_ => into += nodes(in.readInt()))
     nodes.foreach(n => readNodes(n.children))
     nodes.foreach(n => readNodes(n.parents))
-    roots = mutable.LinkedHashSet.empty
-    readNodes(roots)
-    resultSet = mutable.LinkedHashSet.empty
-    readNodes(resultSet)
   }
 }
 

@@ -63,14 +63,27 @@ class SerializationSpec extends AnyFunSuite {
       val frames = feeds(name)
       val reference = McosGenerator(method, paperSpec)
       var gen = McosGenerator(method, paperSpec)
+      var resultsAfterLastRestore = 0
       frames.indices.foreach { fid =>
         val want = reference.processFrame(fid, frames(fid))
         val got = gen.processFrame(fid, frames(fid))
         assert(got === want, s"$method outputs diverged at frame $fid")
         assert(gen.intersections === reference.intersections, s"$method intersections at frame $fid")
         assert(gen.stateCount === reference.stateCount, s"$method states at frame $fid")
-        if (restoreAfter(fid)) gen = roundTripOnFreshThread(gen)
+        if (fid > restoreAfter.max) resultsAfterLastRestore += want.size
+        if (restoreAfter(fid)) {
+          gen = roundTripOnFreshThread(gen)
+          // The graph carries the roots: the states without parents.
+          (gen, reference) match {
+            case (g: SsgGenerator, r: SsgGenerator) =>
+              assert(g.edges === r.edges, s"SSG graph restored after frame $fid")
+            case _ =>
+          }
+        }
       }
+      // D2 emits results after the last restore, so a restored generator's
+      // Result State Set is exercised, not only its empty one.
+      if (name == "D2") assert(resultsAfterLastRestore > 0)
     }
   }
 }
