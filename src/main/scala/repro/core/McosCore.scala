@@ -4,13 +4,14 @@ import java.io.{ObjectInputStream, ObjectOutputStream}
 import scala.collection.mutable
 import repro.core.ObjSet.ObjSet
 
-/** One maintained state: its object set, its frames in the window, and its
+/** One maintained state: its object set, its frames in the window, its
   * key-frame marks in the compact form of DESIGN.md §3 (the state is valid
-  * while `maxMark >= winStart`).
+  * while `maxMark >= winStart`), and whether the core has killed it.
   */
 private[core] class McosState(val ids: ObjSet) {
   val frames = new FrameSet
   var maxMark: Int = -1
+  var alive = true
 }
 
 /** What the visited states contribute to one intersection object set: the
@@ -26,29 +27,37 @@ private[core] final class Contrib[S <: McosState] {
   var created = false
 }
 
-/** The first-attempt maintenance of §4.2.2 that NAIVE, MFS and SSG share.
-  * Per frame it
+/** The first-attempt maintenance of §4.2.2 that NAIVE, MFS and SSG share,
+  * and the whole life of a state: only [[expireOrKill]] ends it. Per frame it
   *
   *  1. visits states, intersecting each with the arriving object set and
   *     coalescing equal intersections ([[visit]]; by default every state in
-  *     map order, dropping a state once `maxMark < winStart`);
+  *     map order, killing instead a state once `maxMark < winStart`);
   *  2. adds the arriving object set as the principal contribution, whose
   *     key frame is the arriving frame itself (Frame Marking Rule 1);
   *  3. applies each contribution in order: an existing state takes the frame
   *     and the better mark, a missing one is created from the merged frame
   *     sets of its sources unless the §5.3 hook `terminated` rejects it;
-  *  4. emits the Result State Set ([[results]]; by default every state with at
-  *     least `d` frames, in map order).
+  *  4. makes one result pass in map order ([[results]]): a state with at
+  *     least `d` stored frames, or every state when `fid % w == 0`, is killed
+  *     if `maxMark < winStart` and otherwise has its expired frames dropped;
+  *     each live state that still has `d` frames is emitted.
   *
-  * Serialized form of this class's part: the termination hook, intersection
-  * counter and last fid, then the state count and per state in map order its
-  * object set words, live frames and `maxMark`. The generator class's part
-  * follows: its window spec and, for SSG, the graph.
+  * Killed states leave `states` after steps 1 and 4, each time those of that
+  * step (step 3 may re-create step 1's). With `keepInvalid` (NAIVE) none dies.
+  *
+  * Serialized form of this class's part: the termination hook, `keepInvalid`,
+  * intersection counter and last fid, then the state count and per state in
+  * map order its object set words, live frames and `maxMark`. The generator
+  * class's part follows: its window spec and, for SSG, the graph.
   */
-abstract class McosCore[S <: McosState](terminated: Option[ObjSet => Boolean])
+abstract class McosCore[S <: McosState](terminated: Option[ObjSet => Boolean],
+                                         keepInvalid: Boolean = false)
     extends McosGenerator {
 
   @transient protected var states = mutable.LinkedHashMap.empty[ObjSet, S]
+  /** The states killed in this frame, in kill order. */
+  @transient protected var killed = mutable.ArrayBuffer.empty[S]
   private var interCount = 0L
 
   final override def stateCount: Int = states.size
@@ -60,38 +69,40 @@ abstract class McosCore[S <: McosState](terminated: Option[ObjSet => Boolean])
 
   protected def newState(ids: ObjSet): S
 
+  /** The one kill path: kill `s` once its key frames have all left the window
+    * (never with `keepInvalid`), else drop its frames before `start`. Returns
+    * whether `s` lives.
+    */
+  protected final def expireOrKill(s: S, start: Int): Boolean = {
+    if (!keepInvalid && s.maxMark < start) {
+      s.alive = false
+      killed += s
+    } else s.frames.expire(start)
+    s.alive
+  }
+
   /** Step 1: intersect the states this generator visits with `objects` through
-    * [[contribute]], expiring their frames to `start` on the way.
+    * [[contribute]], expiring or killing them on the way.
     */
   protected def visit(fid: Int, start: Int, objects: ObjSet,
-                      contribs: mutable.LinkedHashMap[ObjSet, Contrib[S]]): Unit =
-    visitAll(start, objects, contribs, dropInvalid = true)
+                      contribs: mutable.LinkedHashMap[ObjSet, Contrib[S]]): Unit = {
+    val intersect = objects.nonEmpty
+    states.valuesIterator.foreach { s =>
+      if (expireOrKill(s, start) && intersect) contribute(s, objects, contribs)
+    }
+  }
 
-  /** Step 4: the Result State Set of frame `fid`. */
+  /** Step 4: the result pass, whose output is the Result State Set. */
   protected def results(fid: Int, start: Int, objects: ObjSet,
                         contribs: mutable.LinkedHashMap[ObjSet, Contrib[S]]): Vector[McosResult] = {
     val d = spec.d
-    states.valuesIterator
-      .filter(_.frames.size >= d)
-      .map(s => McosResult(fid, s.ids, s.frames.toVector))
-      .toVector
-  }
-
-  /** Visit every state in map order; with `dropInvalid`, a state whose key
-    * frames have all left the window is removed instead (Theorem 1).
-    */
-  protected final def visitAll(start: Int, objects: ObjSet,
-                               contribs: mutable.LinkedHashMap[ObjSet, Contrib[S]],
-                               dropInvalid: Boolean): Unit = {
-    val dead = mutable.ArrayBuffer.empty[ObjSet]
+    val sweep = fid % spec.w == 0
+    val out = Vector.newBuilder[McosResult]
     states.valuesIterator.foreach { s =>
-      if (dropInvalid && s.maxMark < start) dead += s.ids
-      else {
-        s.frames.expire(start)
-        if (objects.nonEmpty) contribute(s, objects, contribs)
-      }
+      if ((sweep || s.frames.size >= d) && expireOrKill(s, start) && s.frames.size >= d)
+        out += McosResult(fid, s.ids, s.frames.toVector)
     }
-    dead.foreach(states.remove)
+    out.result()
   }
 
   /** Intersect `s` with `objects` and, if the intersection is not empty, add
@@ -113,7 +124,10 @@ abstract class McosCore[S <: McosState](terminated: Option[ObjSet => Boolean])
     advanceTo(fid)
     val start = spec.winStart(fid)
     val contribs = mutable.LinkedHashMap.empty[ObjSet, Contrib[S]]
+    killed = mutable.ArrayBuffer.empty
     visit(fid, start, objects, contribs)
+    killed.foreach(s => states.remove(s.ids))
+    val visitKills = killed.size
     if (objects.nonEmpty) {
       val cp = contribs.getOrElseUpdate(objects, new Contrib[S])
       if (fid > cp.candMark) cp.candMark = fid
@@ -138,7 +152,9 @@ abstract class McosCore[S <: McosState](terminated: Option[ObjSet => Boolean])
         }
       }
     }
-    results(fid, start, objects, contribs)
+    val out = results(fid, start, objects, contribs)
+    killed.view.drop(visitKills).foreach(s => states.remove(s.ids))
+    out
   }
 
   private def writeObject(out: ObjectOutputStream): Unit = {

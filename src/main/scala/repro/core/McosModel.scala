@@ -74,13 +74,20 @@ trait McosGenerator extends Serializable {
   /** The last frame processed, -1 before the first; part of the state. */
   private var lastFid = -1
 
-  /** Enforce the input contract: `fid` must be newer than every frame so far. */
-  protected final def advanceTo(fid: Int): Unit = {
+  /** Check the input contract, changing nothing.
+    * @throws IllegalArgumentException unless `fid` is non-negative and newer than every frame so far
+    */
+  final def requireNext(fid: Int): Unit = {
     if (fid < 0)
       throw new IllegalArgumentException(s"frame $fid arrived with a negative fid: fids must be non-negative")
     if (fid <= lastFid)
       throw new IllegalArgumentException(
         s"frame $fid arrived after frame $lastFid: fids must be strictly increasing")
+  }
+
+  /** [[requireNext]], then take `fid` as the last frame processed. */
+  protected final def advanceTo(fid: Int): Unit = {
+    requireNext(fid)
     lastFid = fid
   }
 

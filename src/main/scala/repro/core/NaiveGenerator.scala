@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable
 import repro.core.ObjSet.ObjSet
 
-/** The NAIVE baseline of §6.2: the maintenance core without invalidation.
+/** The NAIVE baseline of §6.2: the maintenance core with `keepInvalid`.
   *
   * A state, once created, is kept (and intersected with every arriving frame)
   * for the rest of the feed, even after its frame set empties, so states that
@@ -17,13 +17,9 @@ import repro.core.ObjSet.ObjSet
   */
 final class NaiveGenerator(val spec: WindowSpec,
                            terminated: Option[ObjSet => Boolean] = None)
-    extends McosCore[McosState](terminated) {
+    extends McosCore[McosState](terminated, keepInvalid = true) {
 
   protected def newState(ids: ObjSet): McosState = new McosState(ids)
-
-  override protected def visit(fid: Int, start: Int, objects: ObjSet,
-                               contribs: mutable.LinkedHashMap[ObjSet, Contrib[McosState]]): Unit =
-    visitAll(start, objects, contribs, dropInvalid = false)
 
   /** Duration filter then maximality: drop any satisfied state dominated by a
     * strictly larger object set appearing in at least the same frames.

@@ -11,17 +11,17 @@ import repro.core.ObjSet.ObjSet
   *    `s → s'` means `ID_{s'} ⊂ ID_s`). State Traversal (Algorithm 1) walks
   *    it depth first from the roots, the states without a parent, and skips a
   *    subtree once a state's intersection is empty; an invalid state met on
-  *    the way is killed (Theorem 4) and walked through.
+  *    the way is killed by the core's rule (Theorem 4) and walked through.
   *  - Edges: created states are attached under their sources by the §4.3.4
   *    surgery that keeps Property 2 (no child contained in a sibling); a new
   *    principal state is connected by CNPS (Algorithm 2); killed states are
   *    detached at frame end and their children re-homed.
   *  - Results (§4.3.7): the traversal may skip a state that holds `d`
-  *    frames, so one pass over the states in map order kills each state with
-  *    at least `d` stored frames whose key frames have all left the window and
-  *    expires the frames of the others. Every `w` frames the pass covers every
-  *    state, so invalid states the traversal never reaches die too. The
-  *    core's rule then emits the states with at least `d` frames, in map order.
+  *    frames, so SSG relies on the core's result pass, which kills or expires
+  *    each state with `d` stored frames before it emits the live ones. Every
+  *    `w` frames that pass covers every state, so invalid states the
+  *    traversal never reaches die too. The states the core killed in the
+  *    frame are then detached from the graph.
   *
   * Serialized form: the core's per-state records, then per state its
   * principal mark, then each state's children and parents as lists of state
@@ -33,10 +33,8 @@ final class SsgGenerator(val spec: WindowSpec,
     extends McosCore[SsgGenerator.Node](terminated) {
   import SsgGenerator.Node
 
-  // Per frame: intersections the traversal got from principal states, and
-  // the states it killed (their edges stay in place until buryDead).
+  // Per frame: intersections the traversal got from principal states.
   @transient private var cnpsCandidates = mutable.ArrayBuffer.empty[ObjSet]
-  @transient private var deadList = mutable.ArrayBuffer.empty[Node]
 
   protected def newState(ids: ObjSet): Node = new Node(ids)
 
@@ -44,35 +42,25 @@ final class SsgGenerator(val spec: WindowSpec,
   private[core] def edges: Map[ObjSet, Set[ObjSet]] =
     states.view.map { case (ids, s) => ids -> s.children.iterator.map(_.ids).toSet }.toMap
 
-  private def kill(node: Node): Unit = {
-    node.alive = false
-    states.remove(node.ids)
-    deadList += node
-  }
-
   /** State Traversal (Algorithm 1). */
   override protected def visit(fid: Int, start: Int, objects: ObjSet,
                                contribs: mutable.LinkedHashMap[ObjSet, Contrib[Node]]): Unit = {
     cnpsCandidates = mutable.ArrayBuffer.empty
-    deadList = mutable.ArrayBuffer.empty
+    val intersect = objects.nonEmpty
     val stack = new java.util.ArrayDeque[Node]
     states.valuesIterator.filter(_.parents.isEmpty).foreach(stack.push)
     while (!stack.isEmpty) {
       val node = stack.pop()
-      if (node.lastVisit != fid && node.alive) {
+      if (node.lastVisit != fid) {
         node.lastVisit = fid
-        if (node.maxMark < start) {
+        if (!expireOrKill(node, start)) {
           // Children may still intersect the arriving frame: walk through.
-          kill(node)
           node.children.foreach(stack.push)
-        } else {
-          node.frames.expire(start)
-          if (objects.nonEmpty) {
-            val inter = contribute(node, objects, contribs)
-            if (inter.nonEmpty) { // else: Property 1 — whole subtree disjoint
-              if (node.principalAt >= start && inter != objects) cnpsCandidates += inter
-              node.children.foreach(stack.push)
-            }
+        } else if (intersect) {
+          val inter = contribute(node, objects, contribs)
+          if (inter.nonEmpty) { // else: Property 1 — whole subtree disjoint
+            if (node.principalAt >= start && inter != objects) cnpsCandidates += inter
+            node.children.foreach(stack.push)
           }
         }
       }
@@ -80,8 +68,8 @@ final class SsgGenerator(val spec: WindowSpec,
   }
 
   /** The frame's graph upkeep (attach created states, register the principal
-    * occurrence, CNPS), the kill-or-expire pass, burying the killed states,
-    * then the core's Result State Set.
+    * occurrence, CNPS), the core's result pass, then burying the states the
+    * core killed in the frame.
     */
   override protected def results(fid: Int, start: Int, objects: ObjSet,
                                  contribs: mutable.LinkedHashMap[ObjSet, Contrib[Node]]): Vector[McosResult] = {
@@ -98,26 +86,18 @@ final class SsgGenerator(val spec: WindowSpec,
         if (cp.created) connectNewPrincipal(cp.state, cnpsCandidates)
       }
     }
-
-    // The traversal may have skipped a state that stores `d` frames: kill or
-    // expire it before the core's rule counts them. Every `w` frames cover
-    // every state, so invalid states the traversal never reaches die too.
-    // (Copied first: kill removes from `states`.)
-    val sweep = fid % spec.w == 0
-    states.valuesIterator.filter(n => sweep || n.frames.size >= spec.d).toArray.foreach { n =>
-      if (n.maxMark < start) kill(n) else n.frames.expire(start)
-    }
+    val out = super.results(fid, start, objects, contribs)
     buryDead()
-    super.results(fid, start, objects, contribs)
+    out
   }
 
   /** §4.3.4 edge maintenance on deletion, deferred to frame end: detach every
-    * flagged state and re-home its children under its surviving parents (a
+    * killed state and re-home its children under its surviving parents (a
     * child left without parents becomes a root).
     */
   private def buryDead(): Unit = {
-    deadList.foreach(d => d.parents.foreach(p => p.children -= d))
-    deadList.foreach { d =>
+    killed.foreach(d => d.parents.foreach(p => p.children -= d))
+    killed.foreach { d =>
       d.children.foreach { c =>
         c.parents -= d
         if (c.alive) d.parents.foreach(p => if (p.alive) addChild(p, c))
@@ -159,7 +139,7 @@ final class SsgGenerator(val spec: WindowSpec,
     if (candidateSets.isEmpty) return
     val cands = candidateSets.distinct
       .flatMap(states.get)
-      .filter(n => n.alive && (n ne ns) && n.ids.subsetOf(ns.ids))
+      .filter(n => (n ne ns) && n.ids.subsetOf(ns.ids))
       .sortBy(-_.ids.size)
     val reached = mutable.HashSet.empty[Node]
     cands.foreach { c =>
@@ -211,7 +191,6 @@ object SsgGenerator {
       */
     var principalAt: Int = Int.MinValue
     var lastVisit: Int = -1
-    var alive: Boolean = true
     val children = mutable.LinkedHashSet.empty[Node]
     val parents  = mutable.LinkedHashSet.empty[Node]
   }

@@ -53,13 +53,15 @@ final class QueryPipeline(val queries: Vector[CnfQuery],
   }
 
   /** Feed one frame of the VR relation; emits all (query, MCOS) matches in
-    * the window ending at `fid`.
+    * the window ending at `fid`. A frame the generator rejects (a fid that
+    * does not increase, a negative id) leaves the pipeline unchanged.
     */
   def processFrame(fid: Int, objects: Seq[(Int, String)]): Vector[QueryMatch] = {
     val kept = objects.filter { case (_, cls) => relevant.contains(cls) }
+    val ids = ObjSet.from(kept.map(_._1))
+    generator.requireNext(fid)
     kept.foreach { case (oid, cls) => classOf.update(oid, cls) }
-    val results = generator.processFrame(fid, ObjSet.from(kept.map(_._1)))
-    evaluate(results)
+    evaluate(generator.processFrame(fid, ids))
   }
 
   /** Step 2 of §5.2 over a Result State Set. */

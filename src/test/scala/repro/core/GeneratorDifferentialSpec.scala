@@ -75,6 +75,10 @@ class GeneratorDifferentialSpec extends AnyFunSuite with RandomizedSpec {
           if (!ms.contains(ids))
             assert(mark < start, s"SSG kept $ids as valid but MFS pruned it")
         }
+        // Every `w` frames the result pass covers every state: no invalid
+        // state outlives it, so SSG's table is MFS's.
+        if (f.fid % sc.spec.w == 0)
+          assert(ss === ms, s"SSG's table differs from MFS's after the sweep at frame ${f.fid}")
       }
     }
   }

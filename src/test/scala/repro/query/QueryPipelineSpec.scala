@@ -131,6 +131,21 @@ class QueryPipelineSpec extends AnyFunSuite with RandomizedSpec {
       Vector((7, repro.core.ObjSet.of(1, 2), Vector(0, 1))))
   }
 
+  test("a rejected frame leaves the class map unchanged") {
+    val queries = Vector("car", "person").zipWithIndex.map { case (cls, qid) =>
+      CnfQuery(qid, Vector(Vector(Condition(cls, Op.Ge, 1))))
+    }
+    Seq("NAIVE", "MFS", "SSG").foreach { method =>
+      val p = new QueryPipeline(queries, WindowSpec(5, 2), method)
+      p.processFrame(0, Vector((1, "car")))
+      p.processFrame(1, Vector((1, "car")))
+      // A repeated fid, then a negative id, each claiming object 1 is a person.
+      intercept[IllegalArgumentException](p.processFrame(1, Vector((1, "person"))))
+      intercept[IllegalArgumentException](p.processFrame(2, Vector((1, "person"), (-1, "person"))))
+      assert(p.processFrame(2, Vector.empty).map(_.qid) === Vector(0), method)
+    }
+  }
+
   test("QueryPipeline holds its generator in exactly one generator-typed field") {
     // The benchmark swaps a timing wrapper into that field by reflection.
     val fields = classOf[QueryPipeline].getDeclaredFields

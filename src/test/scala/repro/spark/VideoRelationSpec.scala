@@ -1,11 +1,13 @@
 package repro.spark
 
 import repro.{Oracle, SparkSpec}
+import repro.core.WindowSpec
 import repro.video.{Profiles, SynthVideo, VideoProfile}
 
 /** Relational layer correctness: every SQL-expressible primitive of the
   * test-side [[RelationalQueries]] is checked against DuckDB via the provided
-  * oracle, and the VR dataset holds each row of the feed once.
+  * oracle, so is the program's own MCOS output where SQL can express its
+  * object union, and the VR dataset holds each row of the feed once.
   */
 class VideoRelationSpec extends SparkSpec {
 
@@ -13,7 +15,8 @@ class VideoRelationSpec extends SparkSpec {
     "T", frames = 150, objects = 40, framesPerObj = 25, occPerObj = 2.5,
     meanGap = 4.0, classWeights = Profiles.V1.classWeights, seed = 7L)
   private lazy val stream = SynthVideo.generate(smallProfile)
-  private lazy val vr = VideoRelation.dataset(spark, Seq(stream)).toDF()
+  private lazy val events = VideoRelation.dataset(spark, Seq(stream))
+  private lazy val vr = events.toDF()
 
   test("class counts per frame match DuckDB") {
     Oracle.assertEquivalent(
@@ -34,12 +37,22 @@ class VideoRelationSpec extends SparkSpec {
 
   test("duration-satisfying objects match DuckDB") {
     val atFid = 149; val w = 60; val d = 40
-    Oracle.assertEquivalent(
-      RelationalQueries.objectsSatisfyingDuration(vr, atFid, w, d),
-      s"""SELECT vid, oid, COUNT(*) AS duration FROM vr
+    val sql = s"""SELECT vid, oid, COUNT(*) AS duration FROM vr
           WHERE CAST(fid AS INT) > ${atFid - w} AND CAST(fid AS INT) <= $atFid
-          GROUP BY vid, oid HAVING COUNT(*) >= $d""",
-      "vr" -> vr)
+          GROUP BY vid, oid HAVING COUNT(*) >= $d"""
+    Oracle.assertEquivalent(RelationalQueries.objectsSatisfyingDuration(vr, atFid, w, d), sql, "vr" -> vr)
+    // The program's answer: an object seen in at least `d` window frames lies
+    // in its own closure, which is an MCOS, so the union of the MCOS emitted
+    // at `atFid` is exactly that set of objects.
+    import spark.implicits._
+    Seq("NAIVE", "MFS", "SSG").foreach { method =>
+      val mcosObjects = McosBatch.run(events, WindowSpec(w, d), method)
+        .filter(_.fid == atFid)
+        .flatMap(r => r.objects.map(oid => (r.vid, oid)))
+        .distinct().toDF("vid", "oid")
+      assert(!mcosObjects.isEmpty, method)
+      Oracle.assertEquivalent(mcosObjects, s"SELECT vid, oid FROM ($sql)", "vr" -> vr)
+    }
   }
 
   test("pairwise co-occurrence counts match DuckDB") {
