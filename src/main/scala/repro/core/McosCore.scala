@@ -32,7 +32,7 @@ private[core] final class Contrib[S <: McosState] {
   *
   *  1. visits states, intersecting each with the arriving object set and
   *     coalescing equal intersections ([[visit]]; by default every state in
-  *     map order, killing instead a state once `maxMark < winStart`);
+  *     map order, killing instead a state that is no longer valid);
   *  2. adds the arriving object set as the principal contribution, whose
   *     key frame is the arriving frame itself (Frame Marking Rule 1);
   *  3. applies each contribution in order: an existing state takes the frame
@@ -40,11 +40,13 @@ private[core] final class Contrib[S <: McosState] {
   *     sets of its sources unless the §5.3 hook `terminated` rejects it;
   *  4. makes one result pass in map order ([[results]]): a state with at
   *     least `d` stored frames, or every state when `fid % w == 0`, is killed
-  *     if `maxMark < winStart` and otherwise has its expired frames dropped;
-  *     each live state that still has `d` frames is emitted.
+  *     if it is no longer valid and otherwise has its expired frames dropped;
+  *     each valid state with `d` frames is emitted.
   *
-  * Killed states leave `states` after steps 1 and 4, each time those of that
-  * step (step 3 may re-create step 1's). With `keepInvalid` (NAIVE) none dies.
+  * A state is valid while `maxMark >= winStart` ([[valid]]). Killed states
+  * leave `states` after steps 1 and 4, each time those of that step (step 3
+  * may re-create step 1's). With `keepInvalid` (NAIVE) none dies, and step 4's
+  * validity test is its output filter; for MFS and SSG a live state is valid.
   *
   * Serialized form of this class's part: the termination hook, `keepInvalid`,
   * intersection counter and last fid, then the state count and per state in
@@ -69,12 +71,15 @@ abstract class McosCore[S <: McosState](terminated: Option[ObjSet => Boolean],
 
   protected def newState(ids: ObjSet): S
 
-  /** The one kill path: kill `s` once its key frames have all left the window
-    * (never with `keepInvalid`), else drop its frames before `start`. Returns
-    * whether `s` lives.
+  /** Some key frame of `s` is still in the window that begins at `start`. */
+  private def valid(s: S, start: Int): Boolean = s.maxMark >= start
+
+  /** The one kill path: kill `s` once it is not [[valid]] (never with
+    * `keepInvalid`), else drop its frames before `start`. Returns whether `s`
+    * lives.
     */
   protected final def expireOrKill(s: S, start: Int): Boolean = {
-    if (!keepInvalid && s.maxMark < start) {
+    if (!keepInvalid && !valid(s, start)) {
       s.alive = false
       killed += s
     } else s.frames.expire(start)
@@ -99,7 +104,8 @@ abstract class McosCore[S <: McosState](terminated: Option[ObjSet => Boolean],
     val sweep = fid % spec.w == 0
     val out = Vector.newBuilder[McosResult]
     states.valuesIterator.foreach { s =>
-      if ((sweep || s.frames.size >= d) && expireOrKill(s, start) && s.frames.size >= d)
+      if ((sweep || s.frames.size >= d) && expireOrKill(s, start) &&
+          valid(s, start) && s.frames.size >= d)
         out += McosResult(fid, s.ids, s.frames.toVector)
     }
     out.result()

@@ -8,6 +8,8 @@ import repro.video.{Profiles, SynthVideo}
   * The constants are the generators' counts over the first 360 frames of D2
   * and M2, and over the whole of M2, at the paper defaults w=300, d=240;
   * change them only with a change that means to change the algorithms' work.
+  * Over the whole of D2 and M2, NAIVE, which keeps every state and filters at
+  * output, must also emit exactly MFS's results in every frame.
   */
 class GeneratorWorkSpec extends AnyFunSuite {
 
@@ -35,11 +37,18 @@ class GeneratorWorkSpec extends AnyFunSuite {
   private def feed(name: String): Vector[ObjSet.ObjSet] =
     SynthVideo.generate(Profiles.byName(name)).frames.map(objs => ObjSet.from(objs.map(_._1)))
 
-  private def work(method: String, frames: Vector[ObjSet.ObjSet]): (Long, Int, Long) = {
+  /** A run's work counts and its per-frame results as (objects, frames) sets. */
+  private type Run = ((Long, Int, Long), Vector[Set[(ObjSet.ObjSet, Vector[Int])]])
+
+  private def run(method: String, frames: Vector[ObjSet.ObjSet]): Run = {
     val gen = McosGenerator(method, spec)
     var results = 0L
-    frames.indices.foreach(fid => results += gen.processFrame(fid, frames(fid)).size)
-    (gen.intersections, gen.stateCount, results)
+    val out = frames.indices.map { fid =>
+      val rs = gen.processFrame(fid, frames(fid))
+      results += rs.size
+      rs.map(r => (r.objects, r.frames)).toSet
+    }.toVector
+    ((gen.intersections, gen.stateCount, results), out)
   }
 
   private val methods = Seq("NAIVE", "MFS", "SSG")
@@ -48,15 +57,29 @@ class GeneratorWorkSpec extends AnyFunSuite {
     lazy val frames = feed(name).take(360)
     for (method <- methods) {
       test(s"$method does the pinned work over the first 360 frames of $name") {
-        assert(work(method, frames) === expected((name, method)))
+        assert(run(method, frames)._1 === expected((name, method)))
       }
     }
   }
 
-  private lazy val wholeM2 = feed("M2")
+  /** Whole-feed runs, each made once and shared by the tests that read it. */
+  private val wholeRuns = scala.collection.mutable.Map.empty[(String, String), Run]
+  private def whole(name: String, method: String): Run =
+    wholeRuns.getOrElseUpdate((name, method), run(method, feed(name)))
+
   for (method <- methods) {
     test(s"$method does the pinned work over the whole of M2") {
-      assert(work(method, wholeM2) === expectedWholeM2(method))
+      assert(whole("M2", method)._1 === expectedWholeM2(method))
+    }
+  }
+
+  for (name <- Seq("D2", "M2")) {
+    test(s"NAIVE emits MFS's results frame by frame over the whole of $name") {
+      val naive = whole(name, "NAIVE")._2
+      val mfs = whole(name, "MFS")._2
+      assert(mfs.exists(_.nonEmpty))
+      val differ = mfs.indices.filter(fid => naive(fid) != mfs(fid))
+      assert(differ.isEmpty, s"(frames whose results differ, of ${mfs.size})")
     }
   }
 }
