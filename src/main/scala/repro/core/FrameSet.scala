@@ -2,114 +2,92 @@ package repro.core
 
 import java.io.{DataInput, DataOutput}
 
-/** Mutable sorted frame-id set for one state.
+/** The frames of one state in the window, as a `w`-bit mask over the window
+  * ring: frame `f` is bit `f mod w`, and the mask stands for the window of
+  * `w` frames that ends at frame `end`. The window slides by clearing the
+  * bits of the frames that leave it, and merging two sets of one window
+  * (paper's `merge(F_s,F_ps)`) is a word-wise OR. The size is a count kept
+  * as bits change.
   *
-  * Frames are appended in increasing order and expire from the front as the
-  * window slides, so the live frames are the window `buf[from, until)` of a
-  * primitive int buffer. Appending is amortized O(1): when the buffer is full
-  * it is compacted in place if at most half of it is live, and doubled
-  * otherwise. Merging (paper's `merge(F_s,F_ps)`) is a sorted-union.
-  *
-  * Written form ([[writeTo]]): the live frame count, then the live frames.
+  * Written form ([[writeTo]]): `end`, then the mask words; an empty set,
+  * which has no window of its own, writes -1 alone.
   */
-final class FrameSet {
-  private var buf: Array[Int] = FrameSet.NoFrames
-  private var from = 0
-  private var until = 0
+final class FrameSet(w: Int) {
+  private val words = new Array[Long]((w + 63) >>> 6)
+  /** The newest frame of the window; -1 before the first. */
+  private var end = -1
+  private var count = 0
 
-  def size: Int = until - from
-  def isEmpty: Boolean = until == from
-  def nonEmpty: Boolean = until != from
-  /** Newest frame; the set must be non-empty. */
-  def last: Int = buf(until - 1)
-  /** Oldest frame; the set must be non-empty. */
-  def head: Int = buf(from)
+  def size: Int = count
 
-  /** Append `fid`; no-op if already present as the newest element. */
-  def append(fid: Int): Unit =
-    if (isEmpty || buf(until - 1) < fid) {
-      if (until == buf.length) makeRoom(1)
-      buf(until) = fid
-      until += 1
-    }
-
-  /** Drop all frames older than `winStart`. */
+  /** Slide the window to start at `winStart`, dropping every older frame. */
   def expire(winStart: Int): Unit = {
-    while (from < until && buf(from) < winStart) from += 1
-    if (from == until) { from = 0; until = 0 }
-  }
-
-  /** Sorted union with another frame set (both stay sorted/deduped). */
-  def mergeFrom(other: FrameSet): Unit = {
-    val n = other.size
-    if (n == 0) return
-    if (isEmpty || last < other.head) {
-      if (buf.length - until < n) makeRoom(n)
-      System.arraycopy(other.buf, other.from, buf, until, n)
-      until += n
-      return
+    val newEnd = winStart + w - 1
+    if (count > 0 && newEnd > end) {
+      // Frames end+1..newEnd take the bits of the frames that leave the window.
+      val from = (end + 1) % w
+      val until = from + math.min(newEnd - end, w)
+      clear(from, math.min(until, w))
+      clear(0, until - w)
     }
-    val a = buf; val b = other.buf
-    val merged = new Array[Int](FrameSet.capacityFor(size + n))
-    var i = from; var j = other.from; var k = 0
-    while (i < until && j < other.until) {
-      val x = a(i); val y = b(j)
-      if (x <= y) { merged(k) = x; i += 1; if (x == y) j += 1 }
-      else        { merged(k) = y; j += 1 }
-      k += 1
-    }
-    while (i < until) { merged(k) = a(i); i += 1; k += 1 }
-    while (j < other.until) { merged(k) = b(j); j += 1; k += 1 }
-    buf = merged; from = 0; until = k
+    end = math.max(end, newEnd)
   }
 
-  def toVector: Vector[Int] = {
-    val b = Vector.newBuilder[Int]
-    b.sizeHint(size)
-    var i = from
-    while (i < until) { b += buf(i); i += 1 }
-    b.result()
-  }
-
-  override def toString: String = toVector.mkString("[", ",", "]")
-
-  /** Make room for `n` more frames at the end: compact in place when at most
-    * half the buffer is live, otherwise move to a buffer at least twice as big.
+  /** Add `fid` as the newest frame, sliding the window to end at it. A frame
+    * older than the window's end is ignored, unless the set is empty: an
+    * empty set takes the window of the first frame or set it is given.
     */
-  private def makeRoom(n: Int): Unit = {
-    val live = size
-    if (2 * live <= buf.length && live + n <= buf.length) {
-      System.arraycopy(buf, from, buf, 0, live)
-    } else {
-      val grown = new Array[Int](FrameSet.capacityFor(math.max(2 * buf.length, live + n)))
-      System.arraycopy(buf, from, grown, 0, live)
-      buf = grown
+  def append(fid: Int): Unit = {
+    if (count == 0) end = fid else expire(fid - w + 1)
+    if (fid == end && !has(fid)) {
+      words(fid % w >>> 6) |= 1L << fid % w
+      count += 1
     }
-    from = 0; until = live
   }
 
-  /** Write the live frames: their count, then each frame id. */
-  private[core] def writeTo(out: DataOutput): Unit = {
-    out.writeInt(size)
-    var i = from
-    while (i < until) { out.writeInt(buf(i)); i += 1 }
+  /** Union with `other`, whose window must be this set's or a newer one: this
+    * set first slides to `other`'s window.
+    */
+  def mergeFrom(other: FrameSet): Unit = if (other.count > 0) {
+    if (count == 0) end = other.end else expire(other.end - w + 1)
+    require(end == other.end, s"frames of the window ending at ${other.end} merged into a newer one")
+    var i = 0
+    while (i < words.length) {
+      count += java.lang.Long.bitCount(other.words(i) & ~words(i))
+      words(i) |= other.words(i)
+      i += 1
+    }
   }
+
+  /** The frames, oldest first. */
+  def toVector: Vector[Int] = (math.max(0, end - w + 1) to end).filter(has).toVector
+
+  private def has(f: Int): Boolean = (words(f % w >>> 6) & 1L << f % w) != 0
+
+  /** Clear bits `[from, until)`, a word at a time, keeping the count. */
+  private def clear(from: Int, until: Int): Unit = {
+    var i = from
+    while (i < until) {
+      val next = math.min(until, (i | 63) + 1)
+      val m = -1L >>> (64 - (next - i)) << i
+      count -= java.lang.Long.bitCount(words(i >>> 6) & m)
+      words(i >>> 6) &= ~m
+      i = next
+    }
+  }
+
+  /** Write the window's end and the mask words, or -1 for an empty set. */
+  private[core] def writeTo(out: DataOutput): Unit =
+    if (count == 0) out.writeInt(-1)
+    else { out.writeInt(end); words.foreach(out.writeLong) }
 
   /** Replace the contents with frames written by [[writeTo]]. */
   private[core] def readFrom(in: DataInput): Unit = {
-    val n = in.readInt()
-    buf = if (n == 0) FrameSet.NoFrames else new Array[Int](FrameSet.capacityFor(n))
-    var i = 0
-    while (i < n) { buf(i) = in.readInt(); i += 1 }
-    from = 0; until = n
+    end = in.readInt()
+    count = 0
+    words.indices.foreach { i =>
+      words(i) = if (end < 0) 0L else in.readLong()
+      count += java.lang.Long.bitCount(words(i))
+    }
   }
-}
-
-object FrameSet {
-  /** Capacity of a frame set's first buffer; an empty set holds none. */
-  private[core] val InitialCapacity = 8
-
-  private val NoFrames = new Array[Int](0)
-
-  private def capacityFor(n: Int): Int = math.max(InitialCapacity, n)
 }

@@ -8,8 +8,8 @@ import repro.core.ObjSet.ObjSet
   * key-frame marks in the compact form of DESIGN.md §3 (the state is valid
   * while `maxMark >= winStart`), and whether the core has killed it.
   */
-private[core] class McosState(val ids: ObjSet) {
-  val frames = new FrameSet
+private[core] class McosState(val ids: ObjSet, w: Int) {
+  val frames = new FrameSet(w)
   var maxMark: Int = -1
   var alive = true
 }
@@ -48,12 +48,16 @@ private[core] final class Contrib[S <: McosState] {
   * may re-create step 1's). With `keepInvalid` (NAIVE) none dies, and step 4's
   * validity test is its output filter; for MFS and SSG a live state is valid.
   *
-  * Serialized form of this class's part: the termination hook, `keepInvalid`,
-  * intersection counter and last fid, then the state count and per state in
-  * map order its object set words, live frames and `maxMark`. The generator
-  * class's part follows: its window spec and, for SSG, the graph.
+  * Serialized form of this class's part: the window spec, the termination
+  * hook, `keepInvalid`, intersection counter and last fid, then the state
+  * count and per state in map order its object set words, its frames (the
+  * window's end and the mask words, or one int when empty) and `maxMark`.
+  * The spec is in this part because reading the frames needs `w`, and Java
+  * reads this part before the generator class's, which for SSG holds the
+  * graph.
   */
-abstract class McosCore[S <: McosState](terminated: Option[ObjSet => Boolean],
+abstract class McosCore[S <: McosState](val spec: WindowSpec,
+                                         terminated: Option[ObjSet => Boolean],
                                          keepInvalid: Boolean = false)
     extends McosGenerator {
 
@@ -69,7 +73,7 @@ abstract class McosCore[S <: McosState](terminated: Option[ObjSet => Boolean],
   private[core] def snapshot: Map[ObjSet, (Vector[Int], Int)] =
     states.view.map { case (ids, s) => ids -> (s.frames.toVector, s.maxMark) }.toMap
 
-  protected def newState(ids: ObjSet): S
+  protected def newState(ids: ObjSet, w: Int): S
 
   /** Some key frame of `s` is still in the window that begins at `start`. */
   private def valid(s: S, start: Int): Boolean = s.maxMark >= start
@@ -140,14 +144,12 @@ abstract class McosCore[S <: McosState](terminated: Option[ObjSet => Boolean],
       contribs.foreach { case (ids, c) =>
         states.get(ids) match {
           case Some(s) =>
-            // A state the visit skipped has not expired its frames yet.
-            s.frames.expire(start)
             s.frames.append(fid)
             if (c.candMark > s.maxMark) s.maxMark = c.candMark
             c.state = s
           case None =>
             if (!terminated.exists(_(ids))) {
-              val s = newState(ids)
+              val s = newState(ids, spec.w)
               c.sources.foreach(src => s.frames.mergeFrom(src.frames))
               s.frames.append(fid)
               s.maxMark = c.candMark
@@ -177,7 +179,7 @@ abstract class McosCore[S <: McosState](terminated: Option[ObjSet => Boolean],
     in.defaultReadObject()
     states = mutable.LinkedHashMap.empty
     (0 until in.readInt()).foreach { _ =>
-      val s = newState(ObjSet.read(in))
+      val s = newState(ObjSet.read(in), spec.w)
       s.frames.readFrom(in)
       s.maxMark = in.readInt()
       states.update(s.ids, s)

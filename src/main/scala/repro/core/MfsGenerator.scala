@@ -15,9 +15,9 @@ import repro.core.ObjSet.ObjSet
   *
   * Serialized form: the core's per-state records and nothing else.
   */
-final class MfsGenerator(val spec: WindowSpec,
+final class MfsGenerator(spec: WindowSpec,
                          terminated: Option[ObjSet => Boolean] = None)
-    extends McosCore[McosState](terminated) {
+    extends McosCore[McosState](spec, terminated) {
 
-  protected def newState(ids: ObjSet): McosState = new McosState(ids)
+  protected def newState(ids: ObjSet, w: Int): McosState = new McosState(ids, w)
 }

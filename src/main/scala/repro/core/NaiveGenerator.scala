@@ -13,9 +13,9 @@ import repro.core.ObjSet.ObjSet
   *
   * Serialized form: the core's per-state records and nothing else.
   */
-final class NaiveGenerator(val spec: WindowSpec,
+final class NaiveGenerator(spec: WindowSpec,
                            terminated: Option[ObjSet => Boolean] = None)
-    extends McosCore[McosState](terminated, keepInvalid = true) {
+    extends McosCore[McosState](spec, terminated, keepInvalid = true) {
 
-  protected def newState(ids: ObjSet): McosState = new McosState(ids)
+  protected def newState(ids: ObjSet, w: Int): McosState = new McosState(ids, w)
 }

@@ -28,15 +28,15 @@ import repro.core.ObjSet.ObjSet
   * positions. Nothing recurses, so graph depth cannot overflow the stack, and
   * a restored graph iterates in the original order.
   */
-final class SsgGenerator(val spec: WindowSpec,
+final class SsgGenerator(spec: WindowSpec,
                          terminated: Option[ObjSet => Boolean] = None)
-    extends McosCore[SsgGenerator.Node](terminated) {
+    extends McosCore[SsgGenerator.Node](spec, terminated) {
   import SsgGenerator.Node
 
   // Per frame: intersections the traversal got from principal states.
   @transient private var cnpsCandidates = mutable.ArrayBuffer.empty[ObjSet]
 
-  protected def newState(ids: ObjSet): Node = new Node(ids)
+  protected def newState(ids: ObjSet, w: Int): Node = new Node(ids, w)
 
   /** Test hook: edges as (parent object set → child object sets). */
   private[core] def edges: Map[ObjSet, Set[ObjSet]] =
@@ -184,7 +184,7 @@ final class SsgGenerator(val spec: WindowSpec,
 }
 
 object SsgGenerator {
-  private[core] final class Node(ids: ObjSet) extends McosState(ids) {
+  private[core] final class Node(ids: ObjSet, w: Int) extends McosState(ids, w) {
     /** Newest frame whose object set is this state's; principal while that
       * frame is in the window. Unset lies below every (early, negative)
       * window start.

@@ -99,6 +99,28 @@ class GeneratorDifferentialSpec extends AnyFunSuite with RandomizedSpec {
     }
   }
 
+  test("every state's frames are its object set's extent in the window") {
+    val methods = Seq[WindowSpec => McosCore[_]](new NaiveGenerator(_), new MfsGenerator(_), new SsgGenerator(_))
+    forSeeds(0xE7E) { rnd =>
+      val sc = scenario(rnd)
+      for (stretch <- Seq(1, 2); mk <- methods) {
+        val stream = sc.stream.map(f => f.copy(fid = f.fid * stretch))
+        val gen = mk(sc.spec)
+        stream.zipWithIndex.foreach { case (f, i) =>
+          gen.processFrame(f.fid, f.objects)
+          val start = sc.spec.winStart(f.fid)
+          val window = stream.take(i + 1).filter(_.fid >= start)
+          // NAIVE's invalid states included. SSG expires a state it does not
+          // visit later, so only the frames in the window are compared.
+          gen.snapshot.foreach { case (ids, (frames, _)) =>
+            assert(frames.filter(_ >= start) === window.filter(w => ids.subsetOf(w.objects)).map(_.fid),
+              s"${gen.getClass.getSimpleName} state $ids at frame ${f.fid} (fids ×$stretch)")
+          }
+        }
+      }
+    }
+  }
+
   test("duration d=w selects only sets present in every window frame") {
     val spec = WindowSpec(3, 3)
     val gen = new SsgGenerator(spec)

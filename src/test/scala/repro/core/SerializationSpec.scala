@@ -28,22 +28,31 @@ class SerializationSpec extends AnyFunSuite {
     result.fold(e => fail(s"round trip failed: $e", e), identity)
   }
 
-  private def drive(gen: McosGenerator, fids: Range, rnd: scala.util.Random): Vector[Vector[McosResult]] =
+  private def drive(gen: McosGenerator, fids: Seq[Int], rnd: scala.util.Random): Vector[Vector[McosResult]] =
     fids.toVector.map { fid =>
       gen.processFrame(fid, ObjSet.from((0 until 8).filter(_ => rnd.nextBoolean())))
     }
 
+  /** (spec, fids before the round trip, fids after it). At w=64, the frames
+    * after it run past `2w` and jump a gap of more than `w`.
+    */
+  private val midStream = Seq(
+    (WindowSpec(6, 3), 0 until 20, 20 until 40),
+    (WindowSpec(64, 20), 0 until 100, (100 until 140) ++ (210 until 300)))
+
   Seq("NAIVE", "MFS", "SSG").foreach { method =>
     test(s"$method generator round-trips through Java serialization mid-stream") {
-      val spec = WindowSpec(6, 3)
-      val a = McosGenerator(method, spec)
-      val b = McosGenerator(method, spec)
-      drive(a, 0 until 20, new scala.util.Random(1))
-      drive(b, 0 until 20, new scala.util.Random(1))
-      val a2 = roundTrip(a)
-      val cont1 = drive(a2, 20 until 40, new scala.util.Random(2))
-      val cont2 = drive(b, 20 until 40, new scala.util.Random(2))
-      assert(cont1.map(_.toSet) === cont2.map(_.toSet), s"$method diverged after round-trip")
+      for ((spec, before, after) <- midStream) {
+        val a = McosGenerator(method, spec)
+        val b = McosGenerator(method, spec)
+        drive(a, before, new scala.util.Random(1))
+        drive(b, before, new scala.util.Random(1))
+        val a2 = roundTrip(a)
+        val cont1 = drive(a2, after, new scala.util.Random(2))
+        val cont2 = drive(b, after, new scala.util.Random(2))
+        assert(cont1.exists(_.nonEmpty), s"$method emits nothing after the round trip at w=${spec.w}")
+        assert(cont1.map(_.toSet) === cont2.map(_.toSet), s"$method diverged after round-trip at w=${spec.w}")
+      }
     }
   }
 

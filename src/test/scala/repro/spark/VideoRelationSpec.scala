@@ -4,10 +4,11 @@ import repro.{Oracle, SparkSpec}
 import repro.core.WindowSpec
 import repro.video.{Profiles, SynthVideo, VideoProfile}
 
-/** Relational layer correctness: every SQL-expressible primitive of the
-  * test-side [[RelationalQueries]] is checked against DuckDB via the provided
-  * oracle, so is the program's own MCOS output where SQL can express its
-  * object union, and the VR dataset holds each row of the feed once.
+/** Relational layer correctness: the SQL-expressible primitives of the
+  * test-side [[RelationalQueries]] are checked against DuckDB via the provided
+  * oracle, so is the program's own MCOS output where SQL can express it (its
+  * object union and each MCOS's frames), and the VR dataset holds each row of
+  * the feed once.
   */
 class VideoRelationSpec extends SparkSpec {
 
@@ -26,13 +27,26 @@ class VideoRelationSpec extends SparkSpec {
   }
 
   test("window durations match DuckDB") {
-    val atFid = 120; val w = 60
-    Oracle.assertEquivalent(
-      RelationalQueries.windowDurations(vr, atFid, w),
-      s"""SELECT vid, oid, COUNT(*) AS duration FROM vr
-          WHERE CAST(fid AS INT) > ${atFid - w} AND CAST(fid AS INT) <= $atFid
-          GROUP BY vid, oid""",
-      "vr" -> vr)
+    // An MCOS's window duration is its frame set: each MCOS `McosBatch.run`
+    // emits at `atFid` must hold exactly the window frames that hold every
+    // one of its objects.
+    val atFid = 120; val w = 60; val d = 20
+    import spark.implicits._
+    Seq("NAIVE", "MFS", "SSG").foreach { method =>
+      val mcos = McosBatch.run(events, WindowSpec(w, d), method).filter(_.fid == atFid).collect()
+        .map(r => (r.vid, r.objects.sorted.mkString(" "), r.objects, r.frames))
+      assert(mcos.nonEmpty, method)
+      val members = mcos.toSeq.flatMap { case (vid, mid, objects, _) => objects.map((vid, mid, _, objects.size)) }
+      val frames = mcos.toSeq.flatMap { case (vid, mid, _, fids) => fids.map((vid, mid, _)) }
+      Oracle.assertEquivalent(
+        frames.toDF("vid", "mid", "fid"),
+        s"""SELECT m.vid AS vid, m.mid AS mid, CAST(v.fid AS INT) AS fid
+            FROM mcos m JOIN vr v ON m.vid = v.vid AND m.oid = v.oid
+            WHERE CAST(v.fid AS INT) > ${atFid - w} AND CAST(v.fid AS INT) <= $atFid
+            GROUP BY m.vid, m.mid, CAST(v.fid AS INT)
+            HAVING COUNT(*) = MAX(CAST(m.n AS INT))""",
+        "vr" -> vr, "mcos" -> members.toDF("vid", "mid", "oid", "n"))
+    }
   }
 
   test("duration-satisfying objects match DuckDB") {
